@@ -27,6 +27,30 @@ let bench_sdu_verify =
   Test.make ~name:"sdu_verify_1200B"
     (Staged.stage (fun () -> Rina_core.Sdu_protection.verify protected_frame))
 
+(* The data-path calls: a sender's one-allocation encode, a full reseal,
+   the relay's ingress check, and the relay's one-byte TTL patch (which
+   flips the byte every call, so it never takes the no-op shortcut). *)
+let bench_encode_frame =
+  Test.make ~name:"pdu_encode_frame_1200B"
+    (Staged.stage (fun () -> Rina_core.Pdu.encode_frame pdu))
+
+let sealed_frame = Rina_core.Pdu.encode_frame pdu
+
+let bench_seal =
+  Test.make ~name:"sdu_seal_1200B"
+    (Staged.stage (fun () -> Rina_core.Sdu_protection.seal sealed_frame))
+
+let bench_verify_len =
+  Test.make ~name:"sdu_verify_len_1200B"
+    (Staged.stage (fun () -> Rina_core.Sdu_protection.verify_len sealed_frame))
+
+let bench_set_byte =
+  let pos = Rina_core.Pdu.ttl_offset in
+  Test.make ~name:"sdu_set_byte_1200B"
+    (Staged.stage (fun () ->
+         Rina_core.Sdu_protection.set_byte sealed_frame ~pos
+           (Bytes.get_uint8 sealed_frame pos lxor 1)))
+
 let lsdb =
   let db = Rina_core.Routing.create () in
   let n = 100 in
@@ -100,6 +124,10 @@ let benchmarks =
       bench_pdu_decode;
       bench_crc32;
       bench_sdu_verify;
+      bench_encode_frame;
+      bench_seal;
+      bench_verify_len;
+      bench_set_byte;
       bench_spf_100;
       bench_lpm_lookup;
       bench_heap;

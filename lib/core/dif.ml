@@ -72,7 +72,7 @@ let combined_chan ~owner ~data ~mgmt : Rina_sim.Chan.t =
              are a complete upper-DIF frame about to transit this
              lower flow, so when the lower flow is itself under
              congestion pressure, stamp the ECN flag on upper Dtp
-             frames in place (+ CRC reseal).  The upper receiver's
+             frames in place (+ trailer patch).  The upper receiver's
              EFCP then echoes it end to end and the upper *sender*
              backs off — congestion in an (N-1)-DIF slows the (N)-DIF
              sources instead of just growing this flow's backlog. *)

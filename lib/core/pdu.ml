@@ -126,7 +126,7 @@ let encode_frame t =
   let n = encoded_size t in
   let b = Bytes.create (n + Sdu_protection.overhead) in
   write b t;
-  Bytes.set_int32_be b n (Int32.of_int (Sdu_protection.crc32_sub b ~pos:0 ~len:n));
+  Sdu_protection.seal b;
   b
 
 let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
@@ -224,13 +224,10 @@ module Peek = struct
 end
 
 (* ECN-style congestion marking, applied to encoded frames in place.
-   The frame keeps its SDU-protection trailer valid: set the flag bit,
-   then reseal — same pattern the relay uses for the TTL decrement. *)
+   The frame keeps its SDU-protection trailer valid: set the flag bit
+   and patch the trailer — same path the relay uses for the TTL
+   decrement. *)
 let frame_has_ecn frame = Peek.flags frame land flag_ecn <> 0
 
 let mark_ecn_frame frame =
-  let f = Peek.flags frame in
-  if f land flag_ecn = 0 then begin
-    Bytes.set_uint8 frame flags_offset (f lor flag_ecn);
-    Sdu_protection.seal frame
-  end
+  Sdu_protection.set_byte frame ~pos:flags_offset (Peek.flags frame lor flag_ecn)

@@ -113,8 +113,9 @@ val frame_has_ecn : bytes -> bool
 (** Whether an encoded frame already carries {!flag_ecn}. *)
 
 val mark_ecn_frame : bytes -> unit
-(** Set {!flag_ecn} in an encoded, protected frame in place and reseal
-    the {!Sdu_protection} trailer (no-op if already marked). *)
+(** Set {!flag_ecn} in an encoded, protected frame in place and patch
+    the {!Sdu_protection} trailer with {!Sdu_protection.set_byte}
+    (no-op if already marked).  The trailer must be valid on entry. *)
 
 val pp : Format.formatter -> t -> unit
 

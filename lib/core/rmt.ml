@@ -266,8 +266,9 @@ let relay_or_deliver t from_port pdu =
         Some port_id)
   end
 
-(* A transit frame: copy, decrement the TTL byte in place, re-seal the
-   trailer.  No decode/encode round trip. *)
+(* A transit frame, already verified by [on_frame]: copy, then
+   decrement the TTL byte and patch the trailer in place.  No
+   decode/encode round trip and no second pass over the body. *)
 let relay_frame t ~hdr frame =
   let hdr = { hdr with Pdu.ttl = hdr.Pdu.ttl - 1 } in
   let drop () =
@@ -284,8 +285,7 @@ let relay_frame t ~hdr frame =
     | Some port ->
       Rina_util.Metrics.incr t.metrics "relayed";
       let frame = Bytes.copy frame in
-      Bytes.set_uint8 frame Pdu.ttl_offset hdr.Pdu.ttl;
-      Sdu_protection.seal frame;
+      Sdu_protection.set_byte frame ~pos:Pdu.ttl_offset hdr.Pdu.ttl;
       enqueue t port ~hdr frame)
 
 let on_frame t port_id frame =

@@ -113,6 +113,164 @@ let test_sdu_roundtrip_and_corruption () =
   | Some _ -> Alcotest.fail "accepted short frame"
   | None -> ()
 
+(* Bytewise reference CRC-32 (reflected 0xEDB88320), kept here so the
+   slicing-by-8 implementation is checked against an independent one. *)
+let ref_crc32_sub data ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get data i);
+    for _ = 0 to 7 do
+      crc := if !crc land 1 = 1 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let prop_crc32_matches_bytewise =
+  let gen =
+    QCheck.Gen.(
+      oneof [ int_range 0 16; int_range 0 2100 ] >>= fun len ->
+      pair (int_range 0 7) (string_size (return (len + 7))) >>= fun (pos, s) ->
+      return (pos, len, s))
+  in
+  QCheck.Test.make ~name:"crc32 slicing-by-8 = bytewise reference" ~count:500
+    (QCheck.make ~print:(fun (pos, len, _) -> Printf.sprintf "pos=%d len=%d" pos len) gen)
+    (fun (pos, len, s) ->
+      let b = Bytes.of_string s in
+      Sdu.crc32_sub b ~pos ~len = ref_crc32_sub b ~pos ~len)
+
+let test_crc32_every_short_length () =
+  (* Every alignment 0-7 with every length 0-40, so each tail length
+     1-7 follows zero to four 8-byte steps. *)
+  let b = Bytes.init 64 (fun i -> Char.chr ((i * 151 + 7) land 0xFF)) in
+  for pos = 0 to 7 do
+    for len = 0 to 40 do
+      check Alcotest.int
+        (Printf.sprintf "pos=%d len=%d" pos len)
+        (ref_crc32_sub b ~pos ~len) (Sdu.crc32_sub b ~pos ~len)
+    done
+  done
+
+let test_crc32_sub_bounds () =
+  let b = Bytes.make 16 'a' in
+  let rejects name ~pos ~len =
+    Alcotest.check_raises name (Invalid_argument "Sdu_protection.crc32_sub")
+      (fun () -> ignore (Sdu.crc32_sub b ~pos ~len))
+  in
+  rejects "pos < 0" ~pos:(-1) ~len:4;
+  rejects "len < 0" ~pos:0 ~len:(-1);
+  rejects "pos + len > length" ~pos:9 ~len:8;
+  rejects "pos past end" ~pos:17 ~len:0;
+  rejects "len overflow" ~pos:1 ~len:max_int;
+  check Alcotest.int "whole range ok" (ref_crc32_sub b ~pos:0 ~len:16)
+    (Sdu.crc32_sub b ~pos:0 ~len:16);
+  check Alcotest.int "empty at end ok" 0 (Sdu.crc32_sub b ~pos:16 ~len:0)
+
+(* A sealed frame of [body] random bytes, one offset in it and a new
+   value.  Offsets cover the TTL and flags bytes of a PDU header and
+   the first and last body byte. *)
+let gen_patch =
+  QCheck.Gen.(
+    int_range 34 1600 >>= fun body ->
+    string_size (return body) >>= fun s ->
+    oneofl [ Pdu.ttl_offset; 33; 0; body - 1 ] >>= fun pos ->
+    int_range 0 255 >>= fun v -> return (Sdu.protect (Bytes.of_string s), pos, v))
+
+let print_patch (f, pos, v) =
+  Printf.sprintf "len=%d pos=%d v=%d" (Bytes.length f) pos v
+
+let prop_set_byte_matches_seal =
+  QCheck.Test.make ~name:"set_byte = set + full seal" ~count:500
+    (QCheck.make ~print:print_patch gen_patch)
+    (fun (f, pos, v) ->
+      let expect = Bytes.copy f in
+      Bytes.set_uint8 expect pos v;
+      Sdu.seal expect;
+      Sdu.set_byte f ~pos v;
+      Bytes.equal f expect && Sdu.verify_len f <> None)
+
+let test_set_byte_noop () =
+  let f = Sdu.protect (Bytes.init 100 (fun i -> Char.chr i)) in
+  let before = Bytes.copy f in
+  Sdu.set_byte f ~pos:Pdu.ttl_offset (Bytes.get_uint8 f Pdu.ttl_offset);
+  check Alcotest.bytes "unchanged" before f;
+  (* A no-op on a corrupt frame leaves it corrupt too. *)
+  Bytes.set_uint8 f 5 (Bytes.get_uint8 f 5 lxor 1);
+  Sdu.set_byte f ~pos:5 (Bytes.get_uint8 f 5);
+  Alcotest.(check bool) "still rejected" true (Sdu.verify_len f = None);
+  Alcotest.check_raises "pos in trailer"
+    (Invalid_argument "Sdu_protection.set_byte")
+    (fun () -> Sdu.set_byte f ~pos:100 0);
+  Alcotest.check_raises "pos < 0"
+    (Invalid_argument "Sdu_protection.set_byte")
+    (fun () -> Sdu.set_byte f ~pos:(-1) 0)
+
+let test_set_byte_large_frame () =
+  (* 100 KB: the byte-count digits of the patch reach 256^2. *)
+  let body = 100_000 in
+  let f = Sdu.protect (Bytes.init body (fun i -> Char.chr ((i * 31) land 0xFF))) in
+  List.iter
+    (fun pos ->
+      let expect = Bytes.copy f in
+      Bytes.set_uint8 expect pos 0xA5;
+      Sdu.seal expect;
+      Sdu.set_byte f ~pos 0xA5;
+      check Alcotest.bytes (Printf.sprintf "pos=%d" pos) expect f)
+    [ 0; 1; 255; 256; 34_463; 65_535; body - 1 ]
+
+(* Corrupt one bit of the body or trailer, then patch a byte: the frame
+   must still fail verification. *)
+let prop_set_byte_never_launders =
+  let gen =
+    QCheck.Gen.(
+      pair gen_patch (int_range 0 max_int) >>= fun ((f, pos, v), r) ->
+      return (f, pos, v, r mod (8 * Bytes.length f)))
+  in
+  QCheck.Test.make ~name:"set_byte keeps a corrupt frame corrupt" ~count:500
+    (QCheck.make
+       ~print:(fun (f, pos, v, bit) -> print_patch (f, pos, v) ^ Printf.sprintf " bit=%d" bit)
+       gen)
+    (fun (f, pos, v, bit) ->
+      let i = bit / 8 in
+      Bytes.set_uint8 f i (Bytes.get_uint8 f i lxor (1 lsl (bit mod 8)));
+      Sdu.set_byte f ~pos v;
+      Sdu.verify_len f = None)
+
+(* Relay through an RMT: the next hop receives a frame that verifies,
+   carries TTL - 1 and is bit-for-bit the frame a fresh encode with
+   that TTL would give. *)
+let prop_relayed_frame_verifies =
+  let gen = QCheck.Gen.(pair (int_range 2 255) (string_size (int_range 0 1400))) in
+  QCheck.Test.make ~name:"relayed frame verifies with TTL - 1" ~count:200
+    (QCheck.make
+       ~print:(fun (ttl, p) -> Printf.sprintf "ttl=%d len=%d" ttl (String.length p))
+       gen)
+    (fun (ttl, payload) ->
+      let engine = Rina_sim.Engine.create () in
+      let rmt =
+        Rina_core.Rmt.create engine ~own_address:(fun () -> 10)
+          ~scheduler:Policy.Fifo ()
+      in
+      let a_near, a_far = Rina_sim.Chan.pair () in
+      let b_near, b_far = Rina_sim.Chan.pair () in
+      ignore (Rina_core.Rmt.add_port rmt a_near);
+      let p_b = Rina_core.Rmt.add_port rmt b_near in
+      Rina_core.Rmt.set_forwarding rmt (fun _ -> Some p_b);
+      let out = ref [] in
+      b_far.Rina_sim.Chan.set_receiver (fun f -> out := f :: !out);
+      let pdu =
+        Pdu.make ~pdu_type:Pdu.Dtp ~dst_addr:20 ~src_addr:1 ~dst_cep:3 ~src_cep:4
+          ~seq:77 ~ttl (Bytes.of_string payload)
+      in
+      let sent = Pdu.encode_frame pdu in
+      a_far.Rina_sim.Chan.send (Bytes.copy sent);
+      Rina_sim.Engine.run engine;
+      match !out with
+      | [ f ] ->
+        Sdu.verify_len f = Some (Bytes.length f - Sdu.overhead)
+        && Bytes.get_uint8 f Pdu.ttl_offset = ttl - 1
+        && Bytes.equal f (Pdu.encode_frame { pdu with Pdu.ttl = ttl - 1 })
+      | _ -> false)
+
 (* ---------- Rib ---------- *)
 
 let test_rib_crud () =
@@ -590,6 +748,14 @@ let () =
         [
           Alcotest.test_case "crc32 vector" `Quick test_crc32_known_vector;
           Alcotest.test_case "roundtrip + corruption" `Quick test_sdu_roundtrip_and_corruption;
+          Alcotest.test_case "crc32 every short length" `Quick test_crc32_every_short_length;
+          Alcotest.test_case "crc32_sub bounds" `Quick test_crc32_sub_bounds;
+          QCheck_alcotest.to_alcotest prop_crc32_matches_bytewise;
+          Alcotest.test_case "set_byte no-op + bounds" `Quick test_set_byte_noop;
+          Alcotest.test_case "set_byte large frame" `Quick test_set_byte_large_frame;
+          QCheck_alcotest.to_alcotest prop_set_byte_matches_seal;
+          QCheck_alcotest.to_alcotest prop_set_byte_never_launders;
+          QCheck_alcotest.to_alcotest prop_relayed_frame_verifies;
         ] );
       ( "rib",
         [
