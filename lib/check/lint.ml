@@ -4,7 +4,6 @@ type topo = {
   diameter : int;
   bottleneck_bit_rate : float;
   rtt : float;
-  lookahead : float option;
 }
 
 (* ---------- spec schema ---------- *)
@@ -64,7 +63,6 @@ let schema =
         ("admission_max_pending", Nonneg_int);
         ("admission_backoff", Nonneg_float);
       ] );
-    ("shard", [ ("shards", Nonneg_int); ("mailbox_capacity", Pos_int) ]);
     ( "multipath",
       [
         ("probe_interval", Nonneg_float);
@@ -518,43 +516,9 @@ let consistency sc (base : Policy.t) topo =
             (probe_iv *. float_of_int down)
             dead_peer)
          ~hint:"shrink probe_interval (or down_misses) below the dead-peer window");
-  (* L121 (part 1): mailbox bound too small to hold even one in-flight
-     entry plus the ring's reserved slot — Policy_lang.parse refuses it,
-     so catch it statically too. *)
-  let sh = base.Policy.shard in
-  let shards_req, ln_shards = geti sc "shard" "shards" sh.Policy.shards in
-  let mbox, ln_mbox = geti sc "shard" "mailbox_capacity" sh.Policy.mailbox_capacity in
-  if mbox < 2 then
-    emit sc
-      (Diag.error ~line:(at [ ln_mbox ]) "L121"
-         (Printf.sprintf "mailbox_capacity (%d) is below 2" mbox)
-         ~hint:"each directed cross-shard mailbox needs room for at least 2 entries");
   match topo with
   | None -> ()
-  | Some { diameter; bottleneck_bit_rate; rtt; lookahead } ->
-    (* L121 (part 2): parallel decomposition requested against a
-       topology whose verified partition buys no time.  The sharded
-       engine can only overlap shards inside a strictly positive
-       conservative lookahead window ([rina_verify] V4xx derives it as
-       the min effective delay over cross-shard adjacencies); with the
-       window zero or absent the run degenerates to sequential
-       stepping, so the spec's parallelism is a lie. *)
-    (match lookahead with
-     | Some l when l > 0. -> ()
-     | _ when shards_req <= 1 -> ()
-     | zero_or_absent ->
-       let what =
-         match zero_or_absent with
-         | None -> "the topology's shard partition derives no lookahead"
-         | Some l -> Printf.sprintf "the derived lookahead is %g s" l
-       in
-       emit sc
-         (Diag.error ~line:(at [ ln_shards ]) "L121"
-            (Printf.sprintf "shards = %d requested but %s" shards_req what)
-            ~hint:
-              "every cross-shard adjacency must buy strictly positive delay \
-               (rina_verify V404); fix the partition or drop the [shard] \
-               section"));
+  | Some { diameter; bottleneck_bit_rate; rtt } ->
     (* L201: PDUs on the longest path die before arriving. *)
     if max_ttl < diameter then
       emit sc
@@ -622,9 +586,6 @@ let rules =
     Diag.rule ~code:"L120" ~severity:w
       "congestion feature armed without its signal (pushback without marking, \
        marking with probability 0)";
-    Diag.rule ~code:"L121" ~severity:e
-      "shard spec cannot run in parallel (shards requested without a positive \
-       verify lookahead, or mailbox_capacity below 2)";
     Diag.rule ~code:"L122" ~severity:e
       "multipath monitor misconfigured (down_misses below suspect_misses, or an \
        armed monitor with reprobe_backoff = 0)";

@@ -17,9 +17,6 @@
       [quantum] only under [kind = drr], [secret] iff password auth,
       [dead_interval > 2 x hello_interval],
       [keepalive_interval < dead_peer_timeout], zero-retry enrollment.
-    - [L121]: shard-spec sanity — partly standalone (mailbox bound),
-      partly topology-aware (shards requested without a positive
-      verify lookahead).
     - [L201]–[L202]: topology-aware checks, only when [?topo] is
       given — TTL vs network diameter, window vs the
       bandwidth-delay product. *)
@@ -29,12 +26,6 @@ type topo = {
   diameter : int;  (** longest shortest-path, in hops *)
   bottleneck_bit_rate : float;  (** narrowest link, bits/second *)
   rtt : float;  (** round-trip time across the longest path, seconds *)
-  lookahead : float option;
-      (** conservative lookahead of the topology's shard partition —
-          the min effective delay over cross-shard adjacencies, as
-          [rina_verify] derives it (V4xx); [None] when the topology
-          declares no shard partition (or none of its edges cross).
-          Gates rule L121. *)
 }
 
 val lint : ?base:Rina_core.Policy.t -> ?topo:topo -> string -> Diag.t list

@@ -8,7 +8,6 @@ type section =
   | S_dif
   | S_telemetry
   | S_congestion
-  | S_shard
   | S_multipath
 
 (* Mutable build state folded over the lines of the spec. *)
@@ -241,18 +240,6 @@ let apply_kv st line key v =
             p with
             Policy.congestion = { p.Policy.congestion with Policy.admission_backoff = f };
           })
-  | S_shard, "shards" ->
-    parse_nat line key v (fun n ->
-        Ok { p with Policy.shard = { p.Policy.shard with Policy.shards = n } })
-  | S_shard, "mailbox_capacity" ->
-    parse_int line key v (fun n ->
-        if n < 2 then err line "mailbox_capacity must be at least 2"
-        else
-          Ok
-            {
-              p with
-              Policy.shard = { p.Policy.shard with Policy.mailbox_capacity = n };
-            })
   | S_multipath, "probe_interval" ->
     parse_float line key v (fun f ->
         Ok
@@ -297,7 +284,7 @@ let apply_kv st line key v =
     | "wrr" -> set Policy.Weighted_rr
     | other -> err line (Printf.sprintf "%s must be primary|wrr, got %S" label other))
   | ( ( S_efcp | S_scheduler | S_routing | S_enrollment | S_auth | S_dif | S_telemetry
-      | S_congestion | S_shard | S_multipath ),
+      | S_congestion | S_multipath ),
       other ) ->
     err line (Printf.sprintf "unknown key %S in this section" other)
 
@@ -334,7 +321,6 @@ let section_name = function
   | S_dif -> "dif"
   | S_telemetry -> "telemetry"
   | S_congestion -> "congestion"
-  | S_shard -> "shard"
   | S_multipath -> "multipath"
 
 let strip_comment line =
@@ -400,9 +386,6 @@ let parse ?(base = Policy.default) text =
           loop (n + 1) rest
         | "congestion" ->
           st.section <- S_congestion;
-          loop (n + 1) rest
-        | "shard" ->
-          st.section <- S_shard;
           loop (n + 1) rest
         | "multipath" ->
           st.section <- S_multipath;
@@ -501,9 +484,6 @@ let to_string (p : Policy.t) =
         p.Policy.congestion.Policy.admission_max_pending;
       Printf.sprintf "admission_backoff = %g"
         p.Policy.congestion.Policy.admission_backoff;
-      "[shard]";
-      Printf.sprintf "shards = %d" p.Policy.shard.Policy.shards;
-      Printf.sprintf "mailbox_capacity = %d" p.Policy.shard.Policy.mailbox_capacity;
       "[multipath]";
       Printf.sprintf "probe_interval = %g" p.Policy.multipath.Policy.probe_interval;
       Printf.sprintf "suspect_misses = %d" p.Policy.multipath.Policy.suspect_misses;

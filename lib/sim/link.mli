@@ -48,7 +48,7 @@ val bit_rate : t -> float
 
 val delay : t -> float
 (** One-way propagation delay in seconds (both halves share it) — what
-    the static verifier reads to bound cross-shard lookahead. *)
+    [Rina_exp.Topo.model_of_net] copies into a verifier model. *)
 
 val queue_capacity : t -> int
 (** Drop-tail queue bound in frames (both halves share it). *)

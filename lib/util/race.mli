@@ -1,10 +1,10 @@
 (** Happens-before race detection over domain-parallel code (the
     "domain-race sanitizer" core).
 
-    The coming sharded engine moves one trial's state across several
-    domains; an unsynchronized cross-domain access that is merely a
-    performance bug today becomes a determinism (and memory-safety)
-    bug there.  This module is a vector-clock happens-before detector
+    [Rina_exp.Par] fans trials out over several domains and merges
+    their results and telemetry back; an unsynchronized cross-domain
+    access there is a determinism (and memory-safety) bug.  This
+    module is a vector-clock happens-before detector
     for the *annotated* shared locations of the codebase: parallel
     drivers declare their fork/join structure ({!fork}, {!child_begin},
     {!child_end}, {!join}), their synchronisation objects ({!acquire},

@@ -681,7 +681,6 @@ let prop_policy_lang_roundtrip_random =
             max_ttl = ttl;
             telemetry = Policy.default_telemetry;
             congestion = Policy.default_congestion;
-            shard = Policy.default_shard;
             multipath = Policy.default_multipath;
           })
         (tup4
