@@ -348,6 +348,7 @@ type mobility_outcome = {
   mo_lost : int;
   mo_goodput : float;
   mo_max_blackout : float;
+  mo_spf_runs : int;  (* SPF runs summed over the cell's members *)
 }
 
 let run_mass_mobility () =
@@ -444,6 +445,10 @@ let run_mass_mobility () =
     mo_lost = max 0 ((sent_per_flow * (n - !failed)) - !total);
     mo_goodput = float_of_int (8 * !total_bytes) /. (mob_stream +. 5.);
     mo_max_blackout = Float.max 0. max_blackout;
+    mo_spf_runs =
+      List.fold_left
+        (fun acc m -> acc + Metrics.get (Ipcp.metrics m) "spf_runs")
+        0 (Dif.members dif);
   }
 
 (* ---------- Mobile-IP triangle baseline ---------- *)
@@ -522,6 +527,11 @@ let fmt_blackout = function
 let write_json fo striped single mob (ip_blackout, ip_registered) =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  \"smoke\": %b,\n  \"command\": \"%sdune exec bench/main.exe r4\",\n"
+       (smoke ())
+       (if smoke () then "RINA_BENCH_SMOKE=1 " else ""));
   Buffer.add_string buf "  \"failover\": {\n";
   Buffer.add_string buf
     (Printf.sprintf "    \"probe_interval_s\": %.3f,\n" probe_interval);
@@ -556,9 +566,9 @@ let write_json fo striped single mob (ip_blackout, ip_registered) =
     (Printf.sprintf
        "    \"mobiles\": %d,\n    \"flows\": %d,\n    \"delivered\": %d,\n    \
         \"lost\": %d,\n    \"aggregate_goodput_bps\": %.0f,\n    \
-        \"max_blackout_s\": %.6f\n  },\n"
+        \"max_blackout_s\": %.6f,\n    \"spf_runs\": %d\n  },\n"
        mob.mo_mobiles mob.mo_flows mob.mo_delivered mob.mo_lost mob.mo_goodput
-       mob.mo_max_blackout);
+       mob.mo_max_blackout mob.mo_spf_runs);
   Buffer.add_string buf "  \"mobile_ip\": {\n";
   Buffer.add_string buf
     (Printf.sprintf

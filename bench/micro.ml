@@ -71,6 +71,32 @@ let bench_spf_100 =
   Test.make ~name:"dijkstra_spf_100_nodes"
     (Staged.stage (fun () -> Rina_core.Routing.spf lsdb ~source:1))
 
+(* The mobility_churn cell: a hub, two base stations and 60 handsets
+   homed on both, so each base station's LSA lists 61 neighbours.  SPF
+   runs from a handset, as it does on most members of the cell. *)
+let cell_lsdb, cell_source =
+  let db = Rina_core.Routing.create () in
+  let install origin peers =
+    let neighbors = List.map (fun a -> (a, 1.0)) peers in
+    ignore (Rina_core.Routing.install db { Rina_core.Routing.Lsa.origin; seq = 1; neighbors })
+  in
+  let hub = 1 and bs1 = 2 and bs2 = 3 in
+  let handsets = List.init 60 (fun i -> 4 + i) in
+  install hub [ bs1; bs2 ];
+  install bs1 (hub :: handsets);
+  install bs2 (hub :: handsets);
+  List.iter (fun h -> install h [ bs1; bs2 ]) handsets;
+  (db, List.hd handsets)
+
+let bench_spf_cell =
+  Test.make ~name:"spf_cell_63_nodes"
+    (Staged.stage (fun () -> Rina_core.Routing.spf cell_lsdb ~source:cell_source))
+
+let bench_spf_cell_ecmp =
+  Test.make ~name:"spf_ecmp_cell_63_nodes"
+    (Staged.stage (fun () ->
+         Rina_core.Routing.shortest_paths cell_lsdb ~source:cell_source ~ecmp:true))
+
 let lpm =
   let t = Tcpip.Lpm.create () in
   for i = 0 to 255 do
@@ -129,6 +155,8 @@ let benchmarks =
       bench_verify_len;
       bench_set_byte;
       bench_spf_100;
+      bench_spf_cell;
+      bench_spf_cell_ecmp;
       bench_lpm_lookup;
       bench_heap;
       bench_engine;

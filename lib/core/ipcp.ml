@@ -97,7 +97,7 @@ type t = {
   mutable next_flow_port : int;
   mutable next_invoke : int;
   mutable next_hops : Routing.next_hops;
-  mutable ecmp_hops : (Types.address, Types.address list * float) Hashtbl.t;
+  mutable ecmp_hops : Routing.ecmp_hops;
       (* equal-cost first hops per destination; maintained only while
          the multipath monitor is armed (policy probe_interval > 0) *)
   mutable chosen_poa : (Types.address, Types.port_id) Hashtbl.t;
@@ -405,9 +405,12 @@ let schedule_recompute t =
     ignore
       (Engine.schedule t.engine ~delay:0. (fun () ->
            t.recompute_scheduled <- false;
-           t.next_hops <- Routing.spf t.lsdb ~source:t.address;
-           if Multipath.enabled t.mpath then
-             t.ecmp_hops <- Routing.spf_multi t.lsdb ~source:t.address;
+           let next_hops, ecmp_hops =
+             Routing.shortest_paths t.lsdb ~source:t.address
+               ~ecmp:(Multipath.enabled t.mpath)
+           in
+           t.next_hops <- next_hops;
+           Option.iter (fun e -> t.ecmp_hops <- e) ecmp_hops;
            Metrics.incr t.metrics "spf_runs"))
   end
 

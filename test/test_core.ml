@@ -588,6 +588,46 @@ let test_routing_spf_disconnected () =
   let nh = Routing.spf db ~source:1 in
   Alcotest.(check bool) "island unreachable" true (Hashtbl.find_opt nh 8 = None)
 
+let sorted_bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+
+let ecmp_bindings db ~source =
+  match Routing.shortest_paths db ~source ~ecmp:true with
+  | hops, Some ecmp -> (sorted_bindings hops, sorted_bindings ecmp)
+  | _, None -> Alcotest.fail "ecmp table requested but not returned"
+
+let test_routing_ecmp_diamond () =
+  let db = Routing.create () in
+  (* 1-3-4 and 1-2-4 both cost 2; 1 lists 3 first, so 3 is the path
+     that reaches 4 first and stays its single next hop. *)
+  ignore (Routing.install db (lsa 1 1 [ (3, 1.); (2, 1.) ]));
+  ignore (Routing.install db (lsa 2 1 [ (1, 1.); (4, 1.) ]));
+  ignore (Routing.install db (lsa 3 1 [ (1, 1.); (4, 1.) ]));
+  ignore (Routing.install db (lsa 4 1 [ (2, 1.); (3, 1.) ]));
+  let hops, ecmp = ecmp_bindings db ~source:1 in
+  check Alcotest.(list (pair int (pair int (float 0.)))) "next hops"
+    [ (2, (2, 1.)); (3, (3, 1.)); (4, (3, 2.)) ] hops;
+  check Alcotest.(list (pair int (pair (list int) (float 0.)))) "equal-cost sets, sorted"
+    [ (2, ([ 2 ], 1.)); (3, ([ 3 ], 1.)); (4, ([ 2; 3 ], 2.)) ] ecmp
+
+let test_routing_ecmp_one_way_excluded () =
+  let db = Routing.create () in
+  (* 3 names 4 but 4 does not name 3: only 1-2-4 is a path to 4. *)
+  ignore (Routing.install db (lsa 1 1 [ (2, 1.); (3, 1.) ]));
+  ignore (Routing.install db (lsa 2 1 [ (1, 1.); (4, 1.) ]));
+  ignore (Routing.install db (lsa 3 1 [ (1, 1.); (4, 1.) ]));
+  ignore (Routing.install db (lsa 4 1 [ (2, 1.) ]));
+  let _, ecmp = ecmp_bindings db ~source:1 in
+  check Alcotest.(list (pair int (pair (list int) (float 0.)))) "one-way edge unused"
+    [ (2, ([ 2 ], 1.)); (3, ([ 3 ], 1.)); (4, ([ 2 ], 2.)) ] ecmp
+
+let test_routing_ecmp_source_without_lsa () =
+  let db = Routing.create () in
+  ignore (Routing.install db (lsa 2 1 [ (1, 1.); (3, 1.) ]));
+  ignore (Routing.install db (lsa 3 1 [ (2, 1.) ]));
+  let hops, ecmp = ecmp_bindings db ~source:1 in
+  check Alcotest.int "no next hops" 0 (List.length hops);
+  check Alcotest.int "no equal-cost sets" 0 (List.length ecmp)
+
 let test_routing_lsa_codec () =
   let l = lsa 42 17 [ (1, 1.5); (2, 2.5); (100, 0.25) ] in
   match Routing.Lsa.decode (Routing.Lsa.encode l) with
@@ -635,6 +675,172 @@ let prop_spf_paths_loop_free =
             walk src 0
           end
         done
+      done;
+      !ok)
+
+(* Reference SPF and equal-cost SPF: the two separate passes the
+   one-pass [Routing.shortest_paths] replaced, kept verbatim apart from
+   reading the database through [Routing.lsa_of]. *)
+module Ref_spf = struct
+  let usable_neighbors t (lsa : Routing.Lsa.t) =
+    List.filter
+      (fun (b, _) ->
+        match Routing.lsa_of t b with
+        | None -> false
+        | Some back -> List.exists (fun (a, _) -> a = lsa.Routing.Lsa.origin) back.Routing.Lsa.neighbors)
+      lsa.Routing.Lsa.neighbors
+
+  let spf t ~source =
+    let result : Routing.next_hops = Hashtbl.create 32 in
+    match Routing.lsa_of t source with
+    | None -> result
+    | Some _ ->
+      let heap = Rina_util.Heap.create () in
+      let dist : (Types.address, float) Hashtbl.t = Hashtbl.create 32 in
+      Hashtbl.replace dist source 0.;
+      Rina_util.Heap.push heap 0. (source, Types.no_address);
+      let finished : (Types.address, unit) Hashtbl.t = Hashtbl.create 32 in
+      let continue = ref true in
+      while !continue do
+        match Rina_util.Heap.pop heap with
+        | None -> continue := false
+        | Some (cost, (node, first_hop)) ->
+          if not (Hashtbl.mem finished node) then begin
+            Hashtbl.replace finished node ();
+            if node <> source then Hashtbl.replace result node (first_hop, cost);
+            match Routing.lsa_of t node with
+            | None -> ()
+            | Some lsa ->
+              List.iter
+                (fun (next, edge_cost) ->
+                  if not (Hashtbl.mem finished next) then begin
+                    let ncost = cost +. edge_cost in
+                    let better =
+                      match Hashtbl.find_opt dist next with
+                      | None -> true
+                      | Some d -> ncost < d
+                    in
+                    if better then begin
+                      Hashtbl.replace dist next ncost;
+                      let fh = if node = source then next else first_hop in
+                      Rina_util.Heap.push heap ncost (next, fh)
+                    end
+                  end)
+                (usable_neighbors t lsa)
+          end
+      done;
+      result
+
+  let spf_multi t ~source =
+    let result : (Types.address, Types.address list * float) Hashtbl.t =
+      Hashtbl.create 32
+    in
+    match Routing.lsa_of t source with
+    | None -> result
+    | Some _ ->
+      let heap = Rina_util.Heap.create () in
+      let dist : (Types.address, float) Hashtbl.t = Hashtbl.create 32 in
+      let fhs : (Types.address, Types.address list) Hashtbl.t =
+        Hashtbl.create 32
+      in
+      Hashtbl.replace dist source 0.;
+      Rina_util.Heap.push heap 0. source;
+      let finished : (Types.address, unit) Hashtbl.t = Hashtbl.create 32 in
+      let continue = ref true in
+      while !continue do
+        match Rina_util.Heap.pop heap with
+        | None -> continue := false
+        | Some (cost, node) ->
+          if not (Hashtbl.mem finished node) then begin
+            Hashtbl.replace finished node ();
+            if node <> source then
+              Hashtbl.replace result node
+                ( (match Hashtbl.find_opt fhs node with
+                  | Some l -> List.sort_uniq compare l
+                  | None -> []),
+                  cost );
+            match Routing.lsa_of t node with
+            | None -> ()
+            | Some lsa ->
+              List.iter
+                (fun (next, edge_cost) ->
+                  if not (Hashtbl.mem finished next) then begin
+                    let ncost = cost +. edge_cost in
+                    let nfh =
+                      if node = source then [ next ]
+                      else
+                        match Hashtbl.find_opt fhs node with
+                        | Some l -> l
+                        | None -> []
+                    in
+                    match Hashtbl.find_opt dist next with
+                    | Some d when ncost > d -> ()
+                    | Some d when ncost = d ->
+                      let cur =
+                        match Hashtbl.find_opt fhs next with
+                        | Some l -> l
+                        | None -> []
+                      in
+                      Hashtbl.replace fhs next
+                        (List.sort_uniq compare (nfh @ cur))
+                    | Some _ | None ->
+                      Hashtbl.replace dist next ncost;
+                      Hashtbl.replace fhs next nfh;
+                      Rina_util.Heap.push heap ncost next
+                  end)
+                (usable_neighbors t lsa)
+          end
+      done;
+      result
+end
+
+let prop_shortest_paths_match_reference =
+  (* Random update sequences over a small address space: one-way edges,
+     neighbours that never originate an LSA (addresses n+1, n+2),
+     duplicate and self entries, costs in {1, 2} so ties are common, and
+     interleaved fresh installs, duplicate-seq refreshes carrying a
+     different list, stale installs, withdrawals, reinstalls and whole-
+     database clears.  After
+     every update, both tables of every source (with and without an
+     LSA) equal the reference passes. *)
+  QCheck.Test.make ~name:"one-pass spf equals reference spf and ecmp" ~count:300
+    QCheck.(pair (int_range 2 8) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rina_util.Prng.create seed in
+      let db = Routing.create () in
+      let seq = Array.make (n + 1) 0 in
+      let neighbors () =
+        List.init (Rina_util.Prng.int rng (n + 2)) (fun _ ->
+            (1 + Rina_util.Prng.int rng (n + 2), float_of_int (1 + Rina_util.Prng.int rng 2)))
+      in
+      let agrees () =
+        List.for_all
+          (fun source ->
+            let hops, ecmp = Routing.shortest_paths db ~source ~ecmp:true in
+            let hops', none = Routing.shortest_paths db ~source ~ecmp:false in
+            let ref_hops = sorted_bindings (Ref_spf.spf db ~source) in
+            sorted_bindings hops = ref_hops
+            && sorted_bindings hops' = ref_hops
+            && sorted_bindings (Routing.spf db ~source) = ref_hops
+            && none = None
+            &&
+            match ecmp with
+            | Some e -> sorted_bindings e = sorted_bindings (Ref_spf.spf_multi db ~source)
+            | None -> false)
+          (List.init (n + 2) (fun i -> i + 1))
+      in
+      let ok = ref true in
+      for _ = 1 to 6 * n do
+        let o = 1 + Rina_util.Prng.int rng n in
+        (match Rina_util.Prng.int rng 20 with
+         | r when r < 12 ->
+           seq.(o) <- seq.(o) + 1;
+           ignore (Routing.install db (lsa o seq.(o) (neighbors ())))
+         | r when r < 16 -> ignore (Routing.install db (lsa o seq.(o) (neighbors ())))
+         | r when r < 18 -> ignore (Routing.withdraw db o)
+         | 18 -> ignore (Routing.install db (lsa o (seq.(o) - 1) (neighbors ())))
+         | _ -> Routing.clear db);
+        if not (agrees ()) then ok := false
       done;
       !ok)
 
@@ -795,7 +1001,11 @@ let () =
           Alcotest.test_case "prefers cheap path" `Quick test_routing_spf_prefers_cheap_path;
           Alcotest.test_case "disconnected" `Quick test_routing_spf_disconnected;
           Alcotest.test_case "lsa codec" `Quick test_routing_lsa_codec;
+          Alcotest.test_case "ecmp diamond" `Quick test_routing_ecmp_diamond;
+          Alcotest.test_case "ecmp one-way edge excluded" `Quick test_routing_ecmp_one_way_excluded;
+          Alcotest.test_case "ecmp source without lsa" `Quick test_routing_ecmp_source_without_lsa;
           QCheck_alcotest.to_alcotest prop_spf_paths_loop_free;
+          QCheck_alcotest.to_alcotest prop_shortest_paths_match_reference;
         ] );
       ("shim", [ Alcotest.test_case "tag filtering" `Quick test_shim_tag_filtering ]);
     ]
