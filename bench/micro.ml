@@ -8,33 +8,26 @@ let pdu =
   Rina_core.Pdu.make ~pdu_type:Rina_core.Pdu.Dtp ~dst_addr:42 ~src_addr:7
     ~dst_cep:3 ~src_cep:9 ~qos_id:1 ~seq:12345 (Bytes.make 1200 'x')
 
-let encoded = Rina_core.Pdu.encode pdu
-
-let protected_frame = Rina_core.Sdu_protection.protect encoded
-
-let bench_pdu_encode =
-  Test.make ~name:"pdu_encode_1200B" (Staged.stage (fun () -> Rina_core.Pdu.encode pdu))
-
-let bench_pdu_decode =
-  Test.make ~name:"pdu_decode_1200B"
-    (Staged.stage (fun () -> Rina_core.Pdu.decode encoded))
-
-let bench_crc32 =
-  Test.make ~name:"crc32_1200B"
-    (Staged.stage (fun () -> Rina_core.Sdu_protection.crc32 encoded))
-
-let bench_sdu_verify =
-  Test.make ~name:"sdu_verify_1200B"
-    (Staged.stage (fun () -> Rina_core.Sdu_protection.verify protected_frame))
-
 (* The data-path calls: a sender's one-allocation encode, a full reseal,
-   the relay's ingress check, and the relay's one-byte TTL patch (which
-   flips the byte every call, so it never takes the no-op shortcut). *)
+   the relay's ingress check, the relay's one-byte TTL patch (which
+   flips the byte every call, so it never takes the no-op shortcut) and
+   the destination's decode. *)
 let bench_encode_frame =
   Test.make ~name:"pdu_encode_frame_1200B"
     (Staged.stage (fun () -> Rina_core.Pdu.encode_frame pdu))
 
 let sealed_frame = Rina_core.Pdu.encode_frame pdu
+
+let body_len = Bytes.length sealed_frame - Rina_core.Sdu_protection.overhead
+
+let bench_crc32 =
+  Test.make ~name:"crc32_1200B"
+    (Staged.stage (fun () ->
+         Rina_core.Sdu_protection.crc32_sub sealed_frame ~pos:0 ~len:body_len))
+
+let bench_decode_sub =
+  Test.make ~name:"pdu_decode_sub_1200B"
+    (Staged.stage (fun () -> Rina_core.Pdu.decode_sub sealed_frame ~len:body_len))
 
 let bench_seal =
   Test.make ~name:"sdu_seal_1200B"
@@ -120,6 +113,41 @@ let bench_heap =
            ignore (Rina_util.Heap.pop h)
          done))
 
+(* The event queue as the engine sees it: ~300 pending events (the
+   mobility_churn mean), each step pops the earliest and schedules a
+   successor a little later. *)
+let bench_heap_depth300 =
+  let h = Rina_util.Heap.create () in
+  for i = 0 to 299 do
+    Rina_util.Heap.push h (float_of_int ((i * 37) mod 300)) i
+  done;
+  Test.make ~name:"heap_push_pop_x100_depth300"
+    (Staged.stage (fun () ->
+         for i = 0 to 99 do
+           let now = Rina_util.Heap.top_key h and v = Rina_util.Heap.top_value h in
+           Rina_util.Heap.drop_min h;
+           Rina_util.Heap.push h (now +. float_of_int (1 + ((i * 37) mod 300))) v
+         done))
+
+(* One per-PDU counter bump in a registry holding an RMT's dozen
+   names: by string name (hash + lookup) and through a handle. *)
+let metrics_registry =
+  let m = Rina_util.Metrics.create () in
+  List.iter (Rina_util.Metrics.incr m)
+    [ "sent"; "sent_port1"; "sent_port2"; "relayed"; "delivered_up"; "queue_dropped";
+      "ecn_marked"; "no_route"; "ttl_expired"; "crc_dropped"; "decode_dropped";
+      "ingress_dropped" ];
+  m
+
+let bench_metrics_by_name =
+  Test.make ~name:"metrics_incr_by_name"
+    (Staged.stage (fun () -> Rina_util.Metrics.incr metrics_registry "relayed"))
+
+let bench_metrics_handle =
+  let c = Rina_util.Metrics.counter metrics_registry "relayed" in
+  Test.make ~name:"metrics_bump_handle"
+    (Staged.stage (fun () -> Rina_util.Metrics.bump c))
+
 let bench_engine =
   Test.make ~name:"engine_schedule_run_x100"
     (Staged.stage (fun () ->
@@ -146,19 +174,20 @@ let bench_rib =
 let benchmarks =
   Test.make_grouped ~name:"micro"
     [
-      bench_pdu_encode;
-      bench_pdu_decode;
       bench_crc32;
-      bench_sdu_verify;
       bench_encode_frame;
       bench_seal;
       bench_verify_len;
       bench_set_byte;
+      bench_decode_sub;
+      bench_metrics_by_name;
+      bench_metrics_handle;
       bench_spf_100;
       bench_spf_cell;
       bench_spf_cell_ecmp;
       bench_lpm_lookup;
       bench_heap;
+      bench_heap_depth300;
       bench_engine;
       bench_rib;
     ]

@@ -50,6 +50,8 @@ let combined_chan ~owner ~data ~mgmt : Rina_sim.Chan.t =
   let data_c = Ipcp.chan_of_flow owner data
   and mgmt_c = Ipcp.chan_of_flow owner mgmt in
   let stats = Rina_util.Metrics.create () in
+  let tx = Rina_util.Metrics.counter stats "tx"
+  and pushback_marked = Rina_util.Metrics.counter stats "pushback_marked" in
   let pushback = (Ipcp.policy owner).Policy.congestion.Policy.pushback in
   let is_management frame =
     (* frame = encoded PDU + CRC trailer; byte 0 version, byte 1 type
@@ -62,7 +64,7 @@ let combined_chan ~owner ~data ~mgmt : Rina_sim.Chan.t =
   {
     Rina_sim.Chan.send =
       (fun frame ->
-        Rina_util.Metrics.incr stats "tx";
+        Rina_util.Metrics.bump tx;
         if is_management frame then mgmt_c.Rina_sim.Chan.send frame
         else begin
           (* Push-back across the layer boundary (§6): the bytes here
@@ -81,7 +83,7 @@ let combined_chan ~owner ~data ~mgmt : Rina_sim.Chan.t =
             && data.Ipcp.congested ()
           then begin
             Pdu.mark_ecn_frame frame;
-            Rina_util.Metrics.incr stats "pushback_marked";
+            Rina_util.Metrics.bump pushback_marked;
             let r = Rina_util.Flight.cur () in
             if Rina_util.Flight.on r then
               Rina_util.Flight.emit_to r

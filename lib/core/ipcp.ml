@@ -62,6 +62,17 @@ type nport = {
          adjacency expiry: it withdraws the peer's LSA DIF-wide. *)
 }
 
+(* Tables keyed by neighbour address, with a cheap integer hash.  No
+   iteration over them reaches the event schedule (each is sorted,
+   existential or a removal), so the hash cannot change a run. *)
+module Addr_tbl = Hashtbl.Make (struct
+  type t = Types.address
+
+  let equal = Int.equal
+
+  let hash a = a land max_int
+end)
+
 type enroll_state = E_none | E_pending of Types.port_id
 
 (* A member waiting for the namespace manager to grant an address for
@@ -86,6 +97,11 @@ type t = {
   metrics : Metrics.t;
   rank : int;  (* DIF rank stamped on flight-recorder events *)
   nports : (Types.port_id, nport) Hashtbl.t;
+  poa_index : nport list Addr_tbl.t;
+      (* points of attachment per neighbour: every bound N-port sits in
+         the list of its current [np_peer] (0 = not yet identified),
+         sorted by port id.  Changed only by [set_peer], [bind_port] and
+         [unbind_port], so [np_peer] is never assigned anywhere else. *)
   flows : (Types.cep_id, flow_state) Hashtbl.t;
   apps : (string, app_reg) Hashtbl.t;
   pending : (int, pending_alloc) Hashtbl.t;
@@ -100,7 +116,7 @@ type t = {
   mutable ecmp_hops : Routing.ecmp_hops;
       (* equal-cost first hops per destination; maintained only while
          the multipath monitor is armed (policy probe_interval > 0) *)
-  mutable chosen_poa : (Types.address, Types.port_id) Hashtbl.t;
+  chosen_poa : Types.port_id Addr_tbl.t;
   mutable own_lsa_seq : int;
   mutable last_adjacency : (Types.address * float) list;
   mutable recompute_scheduled : bool;
@@ -259,6 +275,47 @@ let nport_alive t np =
   np.np_chan.Chan.is_up ()
   && Engine.now t.engine -. np.np_last_hello <= t.policy.Policy.routing.Policy.dead_interval
 
+(* ---------- point-of-attachment index ---------- *)
+
+let peer_ports t peer =
+  match Addr_tbl.find t.poa_index peer with
+  | nps -> nps
+  | exception Not_found -> []
+
+let index_add t np =
+  let rec insert = function
+    | other :: rest when other.np_id < np.np_id -> other :: insert rest
+    | nps -> np :: nps
+  in
+  Addr_tbl.replace t.poa_index np.np_peer (insert (peer_ports t np.np_peer))
+
+let index_remove t np =
+  match List.filter (fun other -> other != np) (peer_ports t np.np_peer) with
+  | [] -> Addr_tbl.remove t.poa_index np.np_peer
+  | nps -> Addr_tbl.replace t.poa_index np.np_peer nps
+
+let set_peer t np peer =
+  if np.np_peer <> peer then begin
+    index_remove t np;
+    np.np_peer <- peer;
+    index_add t np
+  end
+
+let rec first_alive t = function
+  | [] -> None
+  | np :: rest -> if nport_alive t np then Some np.np_id else first_alive t rest
+
+let rec alive_port t port_id = function
+  | [] -> false
+  | np :: rest ->
+    (np.np_id = port_id && nport_alive t np) || alive_port t port_id rest
+
+(* Live [(port, cost)] pairs of [nps], in port order, onto [acc]. *)
+let alive_ports t nps acc =
+  List.fold_right
+    (fun np acc -> if nport_alive t np then (np.np_id, np.np_cost) :: acc else acc)
+    nps acc
+
 (* Live (neighbour, cost) pairs, one entry per distinct peer (cheapest
    point of attachment). *)
 let adjacency_set t =
@@ -277,20 +334,14 @@ let adjacency_set t =
    neighbour among possibly several ports, with stickiness so we can
    count genuine failovers. *)
 let port_to_peer t peer =
-  let candidates =
-    Hashtbl.fold
-      (fun _ np acc ->
-        if np.np_peer = peer && nport_alive t np then np.np_id :: acc else acc)
-      t.nports []
-    |> List.sort compare
-  in
-  match candidates with
-  | [] ->
-    Hashtbl.remove t.chosen_poa peer;
+  let nps = peer_ports t peer in
+  match first_alive t nps with
+  | None ->
+    Addr_tbl.remove t.chosen_poa peer;
     None
-  | first :: _ -> (
-    match Hashtbl.find_opt t.chosen_poa peer with
-    | Some p when List.mem p candidates -> Some p
+  | Some first as first_port -> (
+    match Addr_tbl.find_opt t.chosen_poa peer with
+    | Some p as chosen when alive_port t p nps -> chosen
     | Some _ ->
       (* Previous point of attachment died: local failover, no routing
          update needed beyond this hop. *)
@@ -298,11 +349,11 @@ let port_to_peer t peer =
         Flight.emit ~component:(flight_comp t) ~flow:peer ~rank:t.rank
           Flight.Handoff;
       Metrics.incr t.metrics "local_reroute";
-      Hashtbl.replace t.chosen_poa peer first;
-      Some first
+      Addr_tbl.replace t.chosen_poa peer first;
+      first_port
     | None ->
-      Hashtbl.replace t.chosen_poa peer first;
-      Some first)
+      Addr_tbl.replace t.chosen_poa peer first;
+      first_port)
 
 (* Legacy single-path forwarding: one next hop, one sticky point of
    attachment.  Still the whole story when the multipath monitor is
@@ -530,7 +581,7 @@ and handle_hello t port_id (pdu : Pdu.t) =
       np.np_last_seen <- Engine.now t.engine;
       np.np_peer_name <- peer_name;
       if np.np_peer <> peer_addr then begin
-        np.np_peer <- peer_addr;
+        set_peer t np peer_addr;
         (* Refresh our own LSA first so the database pushed to the new
            peer already contains the adjacency that just formed. *)
         rebuild_own_lsa t;
@@ -695,15 +746,12 @@ let multipath_candidates t dst =
       | Some (nh, _) -> [ nh ]
       | None -> [])
   in
-  if hops = [] then []
-  else
-    Hashtbl.fold
-      (fun _ np acc ->
-        if List.mem np.np_peer hops && nport_alive t np then
-          (np.np_id, np.np_cost) :: acc
-        else acc)
-      t.nports []
-    |> List.sort compare
+  match hops with
+  | [] -> []
+  | [ nh ] -> alive_ports t (peer_ports t nh) []
+  | hops ->
+    List.fold_left (fun acc nh -> alive_ports t (peer_ports t nh) acc) [] hops
+    |> List.sort_uniq compare
 
 (* rr_key 3 = management traffic: its cursor never interleaves with
    the data labels (0..2), and mgmt always rides primary-backup so
@@ -1081,7 +1129,7 @@ let handle_keepalive_r t port_id = touch_port t port_id
    keepalive dead-peer declaration or LSA flooding.  EFCP's reorder
    window absorbs the resequencing at the far end. *)
 let failover_from t np =
-  Hashtbl.remove t.chosen_poa np.np_peer;
+  Addr_tbl.remove t.chosen_poa np.np_peer;
   if Flight.enabled () then
     Flight.emit ~component:(flight_comp t) ~flow:np.np_id ~rank:t.rank
       Flight.Handoff;
@@ -1162,16 +1210,12 @@ let declare_peer_dead t np =
   if Flight.enabled () then
     Flight.emit ~component:(flight_comp t) ~flow:dead ~rank:t.rank
       (Flight.Custom "peer_dead");
-  np.np_peer <- 0;
+  set_peer t np 0;
   np.np_peer_name <- "";
-  Hashtbl.remove t.chosen_poa dead;
+  Addr_tbl.remove t.chosen_poa dead;
   Multipath.forget t.mpath np.np_id;
   rebuild_own_lsa t;
-  let still_reachable =
-    Hashtbl.fold
-      (fun _ other acc -> acc || (other.np_peer = dead && nport_alive t other))
-      t.nports false
-  in
+  let still_reachable = List.exists (nport_alive t) (peer_ports t dead) in
   if (not still_reachable) && Routing.withdraw t.lsdb dead then begin
     Metrics.incr t.metrics "lsa_withdrawn";
     flood_lsa_delete t dead;
@@ -1387,6 +1431,7 @@ let create engine ?trace:tr ?(credentials = "") ?(qos_cubes = Qos.standard_cubes
         metrics = Metrics.create ();
         rank;
         nports = Hashtbl.create 8;
+        poa_index = Addr_tbl.create 8;
         flows = Hashtbl.create 16;
         apps = Hashtbl.create 8;
         pending = Hashtbl.create 8;
@@ -1398,7 +1443,7 @@ let create engine ?trace:tr ?(credentials = "") ?(qos_cubes = Qos.standard_cubes
         next_flow_port = 1;
         next_invoke = 1;
         next_hops = Hashtbl.create 1;
-        chosen_poa = Hashtbl.create 8;
+        chosen_poa = Addr_tbl.create 8;
         own_lsa_seq = 0;
         last_adjacency = [];
         recompute_scheduled = false;
@@ -1485,6 +1530,7 @@ let bind_port t ?(cost = 1.0) ?rate chan =
     }
   in
   Hashtbl.replace t.nports port_id np;
+  index_add t np;
   chan.Chan.on_carrier (fun up ->
       Metrics.incr t.metrics (if up then "carrier_up" else "carrier_down");
       if up then send_hello t np;
@@ -1500,15 +1546,16 @@ let bind_port t ?(cost = 1.0) ?rate chan =
 
 let unbind_port t port_id =
   (match Hashtbl.find_opt t.nports port_id with
-   | Some _ ->
+   | Some np ->
+     index_remove t np;
      Hashtbl.remove t.nports port_id;
      Rmt.remove_port t.rmt port_id;
      Multipath.forget t.mpath port_id;
      rebuild_own_lsa t
    | None -> ());
-  Hashtbl.iter
-    (fun peer p -> if p = port_id then Hashtbl.remove t.chosen_poa peer)
-    (Hashtbl.copy t.chosen_poa)
+  Addr_tbl.filter_map_inplace
+    (fun _ p -> if p = port_id then None else Some p)
+    t.chosen_poa
 
 let leave t =
   if t.enrolled then begin
@@ -1541,12 +1588,12 @@ let leave t =
        restarts from scratch. *)
     Hashtbl.iter
       (fun _ np ->
-        np.np_peer <- 0;
+        set_peer t np 0;
         np.np_peer_name <- "")
       t.nports;
     t.next_hops <- Hashtbl.create 1;
     t.ecmp_hops <- Hashtbl.create 1;
-    Hashtbl.reset t.chosen_poa;
+    Addr_tbl.reset t.chosen_poa;
     Multipath.reset t.mpath
   end
 
@@ -1583,11 +1630,11 @@ let crash t =
     t.last_adjacency <- [];
     t.next_hops <- Hashtbl.create 1;
     t.ecmp_hops <- Hashtbl.create 1;
-    Hashtbl.reset t.chosen_poa;
+    Addr_tbl.reset t.chosen_poa;
     Multipath.reset t.mpath;
     Hashtbl.iter
       (fun _ np ->
-        np.np_peer <- 0;
+        set_peer t np 0;
         np.np_peer_name <- "")
       t.nports;
     if t.was_attached then begin
@@ -1749,21 +1796,30 @@ let allocate_flow t ~src ~dst ~qos_id ~on_result =
     try_resolve ()
   end
 
+let has_adjacency t =
+  Addr_tbl.fold
+    (fun peer nps acc -> acc || (peer > 0 && List.exists (nport_alive t) nps))
+    t.poa_index false
+
 let chan_of_flow t (flow : flow) : Chan.t =
   let stats = Metrics.create () in
+  let tx = Metrics.counter stats "tx"
+  and tx_bytes = Metrics.counter stats "tx_bytes"
+  and rx = Metrics.counter stats "rx"
+  and rx_bytes = Metrics.counter stats "rx_bytes" in
   {
     Chan.send =
       (fun frame ->
-        Metrics.incr stats "tx";
-        Metrics.add stats "tx_bytes" (Bytes.length frame);
+        Metrics.bump tx;
+        Metrics.bump_by tx_bytes (Bytes.length frame);
         flow.send frame);
     set_receiver =
       (fun f ->
         flow.set_on_receive (fun sdu ->
-            Metrics.incr stats "rx";
-            Metrics.add stats "rx_bytes" (Bytes.length sdu);
+            Metrics.bump rx;
+            Metrics.bump_by rx_bytes (Bytes.length sdu);
             f sdu));
-    is_up = (fun () -> adjacency_set t <> []);
+    is_up = (fun () -> has_adjacency t);
     on_carrier = (fun f -> t.isolation_watchers <- f :: t.isolation_watchers);
     stats;
   }
@@ -1781,18 +1837,23 @@ let is_enrolled t = t.enrolled
 let address t = t.address
 
 let neighbors t =
-  let by_peer : (Types.address, Types.port_id list) Hashtbl.t = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun _ np ->
-      if np.np_peer > 0 && nport_alive t np then
-        Hashtbl.replace by_peer np.np_peer
-          (np.np_id
-           :: (match Hashtbl.find_opt by_peer np.np_peer with
-               | Some l -> l
-               | None -> [])))
-    t.nports;
-  Hashtbl.fold (fun peer ports acc -> (peer, List.sort compare ports) :: acc) by_peer []
+  Addr_tbl.fold
+    (fun peer nps acc ->
+      if peer <= 0 then acc
+      else
+        match alive_ports t nps [] with
+        | [] -> acc
+        | ports -> (peer, List.map fst ports) :: acc)
+    t.poa_index []
   |> List.sort compare
+
+let attachments t =
+  Hashtbl.fold (fun id np acc -> (id, np.np_peer, nport_alive t np) :: acc) t.nports []
+  |> List.sort compare
+
+let chosen_attachment t peer = Addr_tbl.find_opt t.chosen_poa peer
+
+let attachment_to = port_to_peer
 
 let routing_table t =
   Hashtbl.fold (fun dst (nh, cost) acc -> (dst, nh, cost) :: acc) t.next_hops []

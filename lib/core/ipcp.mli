@@ -152,6 +152,22 @@ val neighbors : t -> (Types.address * Types.port_id list) list
 val routing_table : t -> (Types.address * Types.address * float) list
 (** (destination, next hop, cost) rows currently installed. *)
 
+val attachments : t -> (Types.port_id * Types.address * bool) list
+(** Every bound (N-1) port as [(port, peer, alive)], sorted by port,
+    read from the port table itself: [peer] is 0 until the peer's hello
+    (and again after [leave], [crash] or a dead-peer declaration);
+    [alive] is carrier up and a hello within the dead interval. *)
+
+val chosen_attachment : t -> Types.address -> Types.port_id option
+(** The point of attachment last chosen toward neighbour [peer], which
+    forwarding keeps while it stays alive. *)
+
+val attachment_to : t -> Types.address -> Types.port_id option
+(** The second routing step (Fig. 4), exactly as the relay runs it:
+    the port to neighbour [peer] — the sticky choice while it is alive,
+    otherwise the live port with the lowest id, which becomes the new
+    choice.  [None] when no live port reaches [peer]. *)
+
 val path_health : t -> string list
 (** One line per monitored path (port, Up/Suspect/Down, consecutive
     misses), sorted — empty until the multipath monitor has probed.

@@ -76,15 +76,15 @@ let header_size = 1 + 1 + (4 * 4) + 2 + 4 + 4 + 4 + 1 + 1 + 4
 let encoded_size t = header_size + Bytes.length t.payload
 
 let check_u8 what v =
-  if v < 0 || v > 0xFF then invalid_arg ("Pdu.encode: " ^ what ^ " out of range")
+  if v < 0 || v > 0xFF then invalid_arg ("Pdu.encode_frame: " ^ what ^ " out of range")
 
 let check_u16 what v =
   if v < 0 || v > 0xFFFF then
-    invalid_arg ("Pdu.encode: " ^ what ^ " out of range")
+    invalid_arg ("Pdu.encode_frame: " ^ what ^ " out of range")
 
 let check_u32 what v =
   if v < 0 || v > 0xFFFFFFFF then
-    invalid_arg ("Pdu.encode: " ^ what ^ " out of range")
+    invalid_arg ("Pdu.encode_frame: " ^ what ^ " out of range")
 
 (* Write the whole PDU into [b] starting at offset 0.  [b] may be
    longer than [encoded_size] (room for an SDU-protection trailer). *)
@@ -114,14 +114,8 @@ let write b t =
   Bytes.set_int32_be b off_payload_len (Int32.of_int (Bytes.length t.payload));
   Bytes.blit t.payload 0 b header_size (Bytes.length t.payload)
 
-let encode t =
-  let b = Bytes.create (encoded_size t) in
-  write b t;
-  b
-
 (* Encode straight into a protected frame: one allocation for header +
-   payload + CRC trailer, where encode-then-protect costs two buffers
-   and an extra full copy. *)
+   payload + CRC trailer. *)
 let encode_frame t =
   let n = encoded_size t in
   let b = Bytes.create (n + Sdu_protection.overhead) in
@@ -177,8 +171,6 @@ let decode_at b ~len ~with_payload =
 let decode_sub b ~len = decode_at b ~len ~with_payload:true
 
 let decode_header b ~len = decode_at b ~len ~with_payload:false
-
-let decode frame = decode_sub frame ~len:(Bytes.length frame)
 
 let pp fmt t =
   let kind =

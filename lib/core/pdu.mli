@@ -58,21 +58,17 @@ val make :
 (** Build a PDU; defaults: ceps 0, qos 0, seq/ack/window 0, ttl 32,
     flags 0. *)
 
-val encode : t -> bytes
-(** Wire form, including a version byte. *)
-
 val encode_frame : t -> bytes
-(** Wire form with the {!Sdu_protection} trailer already appended, in
-    a single allocation — what a sending EFCP hands to the RMT, valid
-    to put on an (N-1) channel as-is. *)
-
-val decode : bytes -> (t, string) result
-(** Parse a wire frame; [Error] describes the first malformation. *)
+(** Wire form (starting with a version byte) with the {!Sdu_protection}
+    trailer already appended, in a single allocation — what a sending
+    EFCP hands to the RMT, valid to put on an (N-1) channel as-is. *)
 
 val decode_sub : bytes -> len:int -> (t, string) result
-(** Like {!decode} but parses only the first [len] bytes of the
-    buffer, so a protected frame can be decoded in place without
-    copying the body out of it first. *)
+(** Parse the PDU occupying the first [len] bytes of the buffer, so a
+    protected frame is decoded in place without copying the body out
+    of it first ([len] excludes the trailer; see
+    {!Sdu_protection.verify_len}).  [Error] describes the first
+    malformation. *)
 
 val decode_header : bytes -> len:int -> (t, string) result
 (** Like {!decode_sub} but leaves [payload = Bytes.empty] instead of
@@ -80,7 +76,7 @@ val decode_header : bytes -> len:int -> (t, string) result
     fields only. *)
 
 val header_size : int
-(** Bytes of overhead [encode] adds on top of the payload. *)
+(** Bytes of header {!encode_frame} writes before the payload. *)
 
 val encoded_size : t -> int
 (** [header_size + Bytes.length payload]. *)

@@ -16,8 +16,44 @@ type port = {
   deficits : float array;        (* DRR state *)
   mutable rr_class : int;        (* DRR scan position *)
   mutable busy : bool;           (* a departure is scheduled *)
-  tx_key : string;               (* per-port egress counter key *)
+  sent_port : Rina_util.Metrics.counter;  (* "sent_portN" *)
 }
+
+(* Handles onto [metrics], resolved once at creation: every PDU that
+   crosses the RMT bumps some of them. *)
+type counters = {
+  sent : Rina_util.Metrics.counter;
+  relayed : Rina_util.Metrics.counter;
+  delivered_up : Rina_util.Metrics.counter;
+  queue_hwm : Rina_util.Metrics.gauge_handle;
+  queue_dropped : Rina_util.Metrics.counter;
+  congestion_dropped : Rina_util.Metrics.counter;
+  ecn_marked : Rina_util.Metrics.counter;
+  no_route : Rina_util.Metrics.counter;
+  path_down_dropped : Rina_util.Metrics.counter;
+  ttl_expired : Rina_util.Metrics.counter;
+  crc_dropped : Rina_util.Metrics.counter;
+  decode_dropped : Rina_util.Metrics.counter;
+  ingress_dropped : Rina_util.Metrics.counter;
+}
+
+let make_counters metrics =
+  let c = Rina_util.Metrics.counter metrics in
+  {
+    sent = c "sent";
+    relayed = c "relayed";
+    delivered_up = c "delivered_up";
+    queue_hwm = Rina_util.Metrics.gauge_handle metrics "queue_hwm";
+    queue_dropped = c "queue_dropped";
+    congestion_dropped = c "congestion_dropped";
+    ecn_marked = c "ecn_marked";
+    no_route = c "no_route";
+    path_down_dropped = c "path_down_dropped";
+    ttl_expired = c "ttl_expired";
+    crc_dropped = c "crc_dropped";
+    decode_dropped = c "decode_dropped";
+    ingress_dropped = c "ingress_dropped";
+  }
 
 type t = {
   engine : Rina_sim.Engine.t;
@@ -29,7 +65,8 @@ type t = {
   mark_rng : Rina_util.Prng.t;
       (* private stream for probabilistic ECN marking, seeded from the
          label so identical runs mark identical PDUs *)
-  ports : (Types.port_id, port) Hashtbl.t;
+  mutable ports : port option array;
+      (* indexed by port id: ids are small and dense (1, 2, ...) *)
   mutable next_port : Types.port_id;
   mutable forwarding : Pdu.t -> Types.port_id option;
   mutable deliver : Types.port_id option -> Pdu.t -> unit;
@@ -40,10 +77,12 @@ type t = {
          process reports [R_path_down] when routes exist but every
          member path is Down, [R_no_route] otherwise *)
   metrics : Rina_util.Metrics.t;
+  ctr : counters;
 }
 
 let create engine ~own_address ~scheduler
     ?(congestion = Policy.default_congestion) ?(label = "rmt") ?(rank = 0) () =
+  let metrics = Rina_util.Metrics.create () in
   {
     engine;
     own_address;
@@ -52,15 +91,20 @@ let create engine ~own_address ~scheduler
     scheduler;
     congestion;
     mark_rng = Rina_util.Prng.create (Hashtbl.hash (label, "rmt-ecn"));
-    ports = Hashtbl.create 8;
+    ports = Array.make 8 None;
     next_port = 1;
     forwarding = (fun _ -> None);
     deliver = (fun _ _ -> ());
     classify = (fun _ -> 0);
     ingress_filter = (fun _ _ -> true);
     drop_reason = (fun _ -> Rina_util.Flight.R_no_route);
-    metrics = Rina_util.Metrics.create ();
+    metrics;
+    ctr = make_counters metrics;
   }
+
+let find_port t port_id =
+  if port_id >= 0 && port_id < Array.length t.ports then t.ports.(port_id)
+  else None
 
 let set_forwarding t f = t.forwarding <- f
 
@@ -104,8 +148,8 @@ let flight_frame t frame kind =
       ~span:(Pdu.Peek.span frame) kind
 
 let transmit_now t port frame =
-  Rina_util.Metrics.incr t.metrics "sent";
-  Rina_util.Metrics.incr t.metrics port.tx_key;
+  Rina_util.Metrics.bump t.ctr.sent;
+  Rina_util.Metrics.bump port.sent_port;
   flight_frame t frame Flight.Pdu_sent;
   port.chan.Rina_sim.Chan.send frame
 
@@ -198,8 +242,8 @@ let enqueue t port ~hdr frame =
     if depth >= queue_capacity then begin
       let reason = if congested then Flight.R_congestion else Flight.R_queue_full in
       flight_frame t frame (Flight.Pdu_dropped reason);
-      Rina_util.Metrics.incr t.metrics "queue_dropped";
-      if congested then Rina_util.Metrics.incr t.metrics "congestion_dropped"
+      Rina_util.Metrics.bump t.ctr.queue_dropped;
+      if congested then Rina_util.Metrics.bump t.ctr.congestion_dropped
     end
     else begin
       if
@@ -209,19 +253,17 @@ let enqueue t port ~hdr frame =
              t.congestion.Policy.mark_probability
       then begin
         Pdu.mark_ecn_frame frame;
-        Rina_util.Metrics.incr t.metrics "ecn_marked";
+        Rina_util.Metrics.bump t.ctr.ecn_marked;
         flight_frame t frame (Flight.Custom "ecn_mark")
       end;
       flight_frame t frame Flight.Enqueued;
       Queue.push frame port.queues.(cls);
-      let d = float_of_int (depth + 1) in
-      if d > Rina_util.Metrics.gauge t.metrics "queue_hwm" then
-        Rina_util.Metrics.set_gauge t.metrics "queue_hwm" d;
+      Rina_util.Metrics.raise_gauge t.ctr.queue_hwm (float_of_int (depth + 1));
       serve t port rate
     end
 
 let deliver_up t from_port pdu =
-  Rina_util.Metrics.incr t.metrics "delivered_up";
+  Rina_util.Metrics.bump t.ctr.delivered_up;
   flight_pdu t pdu Flight.Pdu_recvd;
   t.deliver from_port pdu
 
@@ -230,8 +272,8 @@ let deliver_up t from_port pdu =
 let drop_unroutable t pdu =
   let reason = t.drop_reason pdu in
   flight_pdu t pdu (Flight.Pdu_dropped reason);
-  Rina_util.Metrics.incr t.metrics
-    (if reason = Flight.R_path_down then "path_down_dropped" else "no_route")
+  Rina_util.Metrics.bump
+    (if reason = Flight.R_path_down then t.ctr.path_down_dropped else t.ctr.no_route)
 
 (* Locally originated PDUs ([send]): route, then encode exactly once —
    the frame the destination verifies is the one built here.  Returns
@@ -246,7 +288,7 @@ let relay_or_deliver t from_port pdu =
   end
   else if pdu.Pdu.ttl <= 1 then begin
     flight_pdu t pdu (Flight.Pdu_dropped Flight.R_ttl_expired);
-    Rina_util.Metrics.incr t.metrics "ttl_expired";
+    Rina_util.Metrics.bump t.ctr.ttl_expired;
     None
   end
   else begin
@@ -256,12 +298,12 @@ let relay_or_deliver t from_port pdu =
       drop_unroutable t pdu;
       None
     | Some port_id -> (
-      match Hashtbl.find_opt t.ports port_id with
+      match find_port t port_id with
       | None ->
         drop_unroutable t pdu;
         None
       | Some port ->
-        (if from_port <> None then Rina_util.Metrics.incr t.metrics "relayed");
+        (if from_port <> None then Rina_util.Metrics.bump t.ctr.relayed);
         enqueue t port ~hdr:pdu (Pdu.encode_frame pdu);
         Some port_id)
   end
@@ -274,16 +316,17 @@ let relay_frame t ~hdr frame =
   let drop () =
     let reason = t.drop_reason hdr in
     flight_frame t frame (Flight.Pdu_dropped reason);
-    Rina_util.Metrics.incr t.metrics
-      (if reason = Flight.R_path_down then "path_down_dropped" else "no_route")
+    Rina_util.Metrics.bump
+      (if reason = Flight.R_path_down then t.ctr.path_down_dropped
+       else t.ctr.no_route)
   in
   match t.forwarding hdr with
   | None -> drop ()
   | Some port_id -> (
-    match Hashtbl.find_opt t.ports port_id with
+    match find_port t port_id with
     | None -> drop ()
     | Some port ->
-      Rina_util.Metrics.incr t.metrics "relayed";
+      Rina_util.Metrics.bump t.ctr.relayed;
       let frame = Bytes.copy frame in
       Sdu_protection.set_byte frame ~pos:Pdu.ttl_offset hdr.Pdu.ttl;
       enqueue t port ~hdr frame)
@@ -297,7 +340,7 @@ let on_frame t port_id frame =
          ~component:(t.label ^ "@" ^ string_of_int (t.own_address ()))
          ~rank:t.rank ~size:(Bytes.length frame)
          (Flight.Pdu_dropped Flight.R_corrupt));
-    Rina_util.Metrics.incr t.metrics "crc_dropped"
+    Rina_util.Metrics.bump t.ctr.crc_dropped
   | Some body_len -> (
     match Pdu.decode_header frame ~len:body_len with
     | Error _ ->
@@ -307,11 +350,11 @@ let on_frame t port_id frame =
            ~component:(t.label ^ "@" ^ string_of_int (t.own_address ()))
            ~rank:t.rank ~size:body_len
            (Flight.Pdu_dropped Flight.R_decode));
-      Rina_util.Metrics.incr t.metrics "decode_dropped"
+      Rina_util.Metrics.bump t.ctr.decode_dropped
     | Ok hdr ->
       if not (t.ingress_filter port_id hdr) then begin
         flight_frame t frame (Flight.Pdu_dropped Flight.R_ingress_filter);
-        Rina_util.Metrics.incr t.metrics "ingress_dropped"
+        Rina_util.Metrics.bump t.ctr.ingress_dropped
       end
       else begin
         let own = t.own_address () in
@@ -319,10 +362,10 @@ let on_frame t port_id frame =
           (* Destination: the one place the payload is copied out. *)
           match Pdu.decode_sub frame ~len:body_len with
           | Ok pdu -> deliver_up t (Some port_id) pdu
-          | Error _ -> Rina_util.Metrics.incr t.metrics "decode_dropped")
+          | Error _ -> Rina_util.Metrics.bump t.ctr.decode_dropped)
         else if hdr.Pdu.ttl <= 1 then begin
           flight_frame t frame (Flight.Pdu_dropped Flight.R_ttl_expired);
-          Rina_util.Metrics.incr t.metrics "ttl_expired"
+          Rina_util.Metrics.bump t.ctr.ttl_expired
         end
         else relay_frame t ~hdr frame
       end)
@@ -339,39 +382,46 @@ let add_port t ?rate chan =
       deficits = Array.make num_classes 0.;
       rr_class = 0;
       busy = false;
-      tx_key = "sent_port" ^ string_of_int id;
+      sent_port = Rina_util.Metrics.counter t.metrics ("sent_port" ^ string_of_int id);
     }
   in
-  Hashtbl.replace t.ports id port;
+  if id >= Array.length t.ports then begin
+    let grown = Array.make (2 * id) None in
+    Array.blit t.ports 0 grown 0 (Array.length t.ports);
+    t.ports <- grown
+  end;
+  t.ports.(id) <- Some port;
   chan.Rina_sim.Chan.set_receiver (fun frame -> on_frame t id frame);
   id
 
 let remove_port t port_id =
-  match Hashtbl.find_opt t.ports port_id with
+  match find_port t port_id with
   | None -> ()
   | Some port ->
     port.chan.Rina_sim.Chan.set_receiver (fun _ -> ());
-    Hashtbl.remove t.ports port_id
+    t.ports.(port_id) <- None
 
 let ports t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.ports [] |> List.sort compare
+  Array.fold_right
+    (fun p acc -> match p with Some p -> p.id :: acc | None -> acc)
+    t.ports []
 
 let port_chan t port_id =
-  Option.map (fun p -> p.chan) (Hashtbl.find_opt t.ports port_id)
+  Option.map (fun p -> p.chan) (find_port t port_id)
 
 let send t pdu = relay_or_deliver t None pdu
 
 let send_on_port t port_id pdu =
-  match Hashtbl.find_opt t.ports port_id with
-  | None -> Rina_util.Metrics.incr t.metrics "no_route"
+  match find_port t port_id with
+  | None -> Rina_util.Metrics.bump t.ctr.no_route
   | Some port -> enqueue t port ~hdr:pdu (Pdu.encode_frame pdu)
 
 let queue_depth t port_id =
-  match Hashtbl.find_opt t.ports port_id with
+  match find_port t port_id with
   | None -> 0
   | Some port -> Array.fold_left (fun acc q -> acc + Queue.length q) 0 port.queues
 
 let class_depths t port_id =
-  match Hashtbl.find_opt t.ports port_id with
+  match find_port t port_id with
   | None -> [||]
   | Some port -> Array.map Queue.length port.queues

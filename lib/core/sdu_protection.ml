@@ -126,13 +126,6 @@ let rec zeros crc n k =
 
 let overhead = 4
 
-let protect data =
-  let n = Bytes.length data in
-  let out = Bytes.create (n + overhead) in
-  Bytes.blit data 0 out 0 n;
-  Bytes.set_int32_be out n (Int32.of_int (crc32 data));
-  out
-
 let seal frame =
   let body = Bytes.length frame - overhead in
   Bytes.set_int32_be frame body (Int32.of_int (crc32_sub frame ~pos:0 ~len:body))
@@ -163,8 +156,3 @@ let verify_len frame =
     let stored = Int32.to_int (Bytes.get_int32_be frame body) land 0xFFFFFFFF in
     if crc32_sub frame ~pos:0 ~len:body = stored then Some body else None
   end
-
-let verify frame =
-  match verify_len frame with
-  | None -> None
-  | Some body -> Some (Bytes.sub frame 0 body)

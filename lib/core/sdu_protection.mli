@@ -17,9 +17,6 @@ val crc32_sub : bytes -> pos:int -> len:int -> int
     @raise Invalid_argument if [pos < 0], [len < 0] or
     [pos + len > Bytes.length data]. *)
 
-val protect : bytes -> bytes
-(** Append the 4-byte big-endian CRC. *)
-
 val seal : bytes -> unit
 (** Compute the CRC of a frame's body (all but its last {!overhead}
     bytes) and store it in the trailer, in place.  To change one byte
@@ -43,13 +40,10 @@ val set_byte : bytes -> pos:int -> int -> unit
     frame untouched.
     @raise Invalid_argument unless [0 <= pos < Bytes.length frame - overhead]. *)
 
-val verify : bytes -> bytes option
-(** Check and strip the trailer; [None] if too short or corrupt. *)
-
 val verify_len : bytes -> int option
 (** Check the trailer and return the body length without copying;
     [None] if too short or corrupt.  The hot path reads header fields
     straight out of the frame. *)
 
 val overhead : int
-(** Bytes added by [protect]. *)
+(** Bytes of the trailer: a 4-byte big-endian CRC after the body. *)

@@ -15,6 +15,42 @@ type held = {
   mutable released : bool;
 }
 
+(* Handles onto the half's [stats] registry, resolved once at creation:
+   every frame bumps some of them. *)
+type counters = {
+  tx : Rina_util.Metrics.counter;
+  tx_bytes : Rina_util.Metrics.counter;
+  rx : Rina_util.Metrics.counter;
+  rx_bytes : Rina_util.Metrics.counter;
+  dropped_down : Rina_util.Metrics.counter;
+  dropped_queue : Rina_util.Metrics.counter;
+  dropped_loss : Rina_util.Metrics.counter;
+  dropped_blackhole : Rina_util.Metrics.counter;
+  dropped_crash : Rina_util.Metrics.counter;
+  mangle_corrupt : Rina_util.Metrics.counter;
+  mangle_dup : Rina_util.Metrics.counter;
+  mangle_spike : Rina_util.Metrics.counter;
+  mangle_reorder : Rina_util.Metrics.counter;
+}
+
+let make_counters stats =
+  let c = Rina_util.Metrics.counter stats in
+  {
+    tx = c "tx";
+    tx_bytes = c "tx_bytes";
+    rx = c "rx";
+    rx_bytes = c "rx_bytes";
+    dropped_down = c "dropped_down";
+    dropped_queue = c "dropped_queue";
+    dropped_loss = c "dropped_loss";
+    dropped_blackhole = c "dropped_blackhole";
+    dropped_crash = c "dropped_crash";
+    mangle_corrupt = c "mangle_corrupt";
+    mangle_dup = c "mangle_dup";
+    mangle_spike = c "mangle_spike";
+    mangle_reorder = c "mangle_reorder";
+  }
+
 type half = {
   engine : Engine.t;
   rng : Rina_util.Prng.t;
@@ -26,6 +62,7 @@ type half = {
   mutable held : held list;  (* oldest first; short (bounded by holds in flight) *)
   comp : string;  (* flight-recorder component name for this direction *)
   stats : Rina_util.Metrics.t;
+  ctr : counters;
   mutable busy_until : float;
   mutable queued : int;
   mutable receiver : bytes -> unit;
@@ -48,6 +85,7 @@ type t = {
 }
 
 let make_half engine rng ~bit_rate ~delay ~queue_capacity ~loss ~mangle ~comp =
+  let stats = Rina_util.Metrics.create () in
   {
     engine;
     rng;
@@ -58,7 +96,8 @@ let make_half engine rng ~bit_rate ~delay ~queue_capacity ~loss ~mangle ~comp =
     mangle = Mangle.make_state mangle;
     held = [];
     comp;
-    stats = Rina_util.Metrics.create ();
+    stats;
+    ctr = make_counters stats;
     busy_until = 0.;
     queued = 0;
     receiver = (fun _ -> ());
@@ -118,10 +157,10 @@ let[@inline] flight_drop half reason size =
 let stale_drop half size =
   account_late_drop half;
   flight_drop half half.epoch_reason size;
-  Rina_util.Metrics.incr half.stats
+  Rina_util.Metrics.bump
     (match half.epoch_reason with
-     | Rina_util.Flight.R_endpoint_crash -> "dropped_crash"
-     | _ -> "dropped_down")
+     | Rina_util.Flight.R_endpoint_crash -> half.ctr.dropped_crash
+     | _ -> half.ctr.dropped_down)
 
 (* ---------- delivery (post-propagation) ----------
 
@@ -140,8 +179,8 @@ let rec deliver_frame t half frame =
   if Rina_util.Flight.on r then
     Rina_util.Flight.emit_to r ~component:half.comp ~size:(Bytes.length frame)
       Rina_util.Flight.Pdu_recvd;
-  Rina_util.Metrics.incr half.stats "rx";
-  Rina_util.Metrics.add half.stats "rx_bytes" (Bytes.length frame);
+  Rina_util.Metrics.bump half.ctr.rx;
+  Rina_util.Metrics.bump_by half.ctr.rx_bytes (Bytes.length frame);
   half.receiver frame;
   if half.held <> [] then release_overtaken t half
 
@@ -172,12 +211,12 @@ and redeliver t half epoch frame =
   else if epoch = half.epoch && t.up then begin
     account_blackhole half;
     flight_drop half Rina_util.Flight.R_blackhole (Bytes.length frame);
-    Rina_util.Metrics.incr half.stats "dropped_blackhole"
+    Rina_util.Metrics.bump half.ctr.dropped_blackhole
   end
   else stale_drop half (Bytes.length frame)
 
 let hold_back t half epoch frame displacement =
-  Rina_util.Metrics.incr half.stats "mangle_reorder";
+  Rina_util.Metrics.bump half.ctr.mangle_reorder;
   let h = { hframe = frame; h_epoch = epoch; remaining = displacement; released = false } in
   half.held <- half.held @ [ h ];
   let max_hold = (Mangle.model half.mangle).Mangle.max_hold in
@@ -196,7 +235,7 @@ let mangled_arrival t half epoch frame =
   in
   let frame =
     if d.Mangle.corrupt_bit >= 0 then begin
-      Rina_util.Metrics.incr half.stats "mangle_corrupt";
+      Rina_util.Metrics.bump half.ctr.mangle_corrupt;
       Mangle.flip_bit frame d.Mangle.corrupt_bit
     end
     else frame
@@ -205,7 +244,7 @@ let mangled_arrival t half epoch frame =
     (* The copy is a new frame entering the channel: it counts as
        injected so conservation still balances, and it bypasses the
        mangler so one decision covers one original frame. *)
-    Rina_util.Metrics.incr half.stats "mangle_dup";
+    Rina_util.Metrics.bump half.ctr.mangle_dup;
     if Rina_util.Invariant.enabled () then
       half.conserv.injected <- half.conserv.injected + 1;
     let copy = Bytes.copy frame in
@@ -215,7 +254,7 @@ let mangled_arrival t half epoch frame =
            redeliver t half epoch copy))
   end;
   if d.Mangle.spike_by > 0. then begin
-    Rina_util.Metrics.incr half.stats "mangle_spike";
+    Rina_util.Metrics.bump half.ctr.mangle_spike;
     ignore
       (Engine.schedule half.engine ~delay:d.Mangle.spike_by (fun () ->
            if epoch = half.epoch && t.up && not t.blackhole then
@@ -229,16 +268,16 @@ let mangled_arrival t half epoch frame =
   else deliver_frame t half frame
 
 let transmit t half frame =
-  let m = half.stats in
+  let m = half.ctr in
   if not t.up then begin
     account_admission_drop half;
     flight_drop half Rina_util.Flight.R_link_down (Bytes.length frame);
-    Rina_util.Metrics.incr m "dropped_down"
+    Rina_util.Metrics.bump m.dropped_down
   end
   else if half.queued >= half.queue_capacity then begin
     account_admission_drop half;
     flight_drop half Rina_util.Flight.R_queue_full (Bytes.length frame);
-    Rina_util.Metrics.incr m "dropped_queue"
+    Rina_util.Metrics.bump m.dropped_queue
   end
   else begin
     if Rina_util.Invariant.enabled () then
@@ -247,8 +286,8 @@ let transmit t half frame =
     if Rina_util.Flight.on r then
       Rina_util.Flight.emit_to r ~component:half.comp
         ~size:(Bytes.length frame) Rina_util.Flight.Pdu_sent;
-    Rina_util.Metrics.incr m "tx";
-    Rina_util.Metrics.add m "tx_bytes" (Bytes.length frame);
+    Rina_util.Metrics.bump m.tx;
+    Rina_util.Metrics.bump_by m.tx_bytes (Bytes.length frame);
     half.queued <- half.queued + 1;
     let now = Engine.now half.engine in
     let start = Float.max now half.busy_until in
@@ -263,7 +302,7 @@ let transmit t half frame =
              if Loss.drops half.loss half.rng then begin
                account_late_drop half;
                flight_drop half Rina_util.Flight.R_loss (Bytes.length frame);
-               Rina_util.Metrics.incr m "dropped_loss"
+               Rina_util.Metrics.bump m.dropped_loss
              end
              else
                ignore
@@ -278,7 +317,7 @@ let transmit t half frame =
                         account_blackhole half;
                         flight_drop half Rina_util.Flight.R_blackhole
                           (Bytes.length frame);
-                        Rina_util.Metrics.incr m "dropped_blackhole"
+                        Rina_util.Metrics.bump m.dropped_blackhole
                       end
                       else stale_drop half (Bytes.length frame)))
            else stale_drop half (Bytes.length frame)))

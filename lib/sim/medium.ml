@@ -1,5 +1,16 @@
 type node = { id : int; mutable x : float; mutable y : float }
 
+(* Handles onto a radio's [stats], resolved once when the channel is
+   made: every frame bumps some of them. *)
+type counters = {
+  tx : Rina_util.Metrics.counter;
+  tx_bytes : Rina_util.Metrics.counter;
+  rx : Rina_util.Metrics.counter;
+  rx_bytes : Rina_util.Metrics.counter;
+  dropped_down : Rina_util.Metrics.counter;
+  dropped_loss : Rina_util.Metrics.counter;
+}
+
 type radio = {
   local : node;
   remote : node;
@@ -7,6 +18,7 @@ type radio = {
   edge_loss : float;
   comp : string;  (* flight-recorder component name *)
   stats : Rina_util.Metrics.t;
+  ctr : counters;
   mutable receiver : bytes -> unit;
   mutable watchers : (bool -> unit) list;
   mutable was_up : bool;
@@ -81,18 +93,18 @@ let[@inline] flight_drop r reason size =
       (Rina_util.Flight.Pdu_dropped reason)
 
 let transmit t r frame =
-  let m = r.stats in
+  let m = r.ctr in
   if not (radio_up r) then begin
     flight_drop r Rina_util.Flight.R_link_down (Bytes.length frame);
-    Rina_util.Metrics.incr m "dropped_down"
+    Rina_util.Metrics.bump m.dropped_down
   end
   else begin
     (let fr = Rina_util.Flight.cur () in
      if Rina_util.Flight.on fr then
        Rina_util.Flight.emit_to fr ~component:r.comp
          ~size:(Bytes.length frame) Rina_util.Flight.Pdu_sent);
-    Rina_util.Metrics.incr m "tx";
-    Rina_util.Metrics.add m "tx_bytes" (Bytes.length frame);
+    Rina_util.Metrics.bump m.tx;
+    Rina_util.Metrics.bump_by m.tx_bytes (Bytes.length frame);
     let now = Engine.now t.engine in
     let start = Float.max now r.busy_until in
     let ser = float_of_int (8 * Bytes.length frame) /. t.bit_rate in
@@ -102,19 +114,19 @@ let transmit t r frame =
       (Engine.schedule_at t.engine ~time:arrival (fun () ->
            if not (radio_up r) then begin
              flight_drop r Rina_util.Flight.R_link_down (Bytes.length frame);
-             Rina_util.Metrics.incr m "dropped_down"
+             Rina_util.Metrics.bump m.dropped_down
            end
            else if Rina_util.Prng.bernoulli t.rng (loss_probability r) then begin
              flight_drop r Rina_util.Flight.R_loss (Bytes.length frame);
-             Rina_util.Metrics.incr m "dropped_loss"
+             Rina_util.Metrics.bump m.dropped_loss
            end
            else begin
              (let fr = Rina_util.Flight.cur () in
               if Rina_util.Flight.on fr then
                 Rina_util.Flight.emit_to fr ~component:r.comp
                   ~size:(Bytes.length frame) Rina_util.Flight.Pdu_recvd);
-             Rina_util.Metrics.incr m "rx";
-             Rina_util.Metrics.add m "rx_bytes" (Bytes.length frame);
+             Rina_util.Metrics.bump m.rx;
+             Rina_util.Metrics.bump_by m.rx_bytes (Bytes.length frame);
              match peer_of t r with
              | Some peer -> peer.receiver frame
              | None -> r.receiver frame
@@ -123,6 +135,8 @@ let transmit t r frame =
 
 let channel t ~local ~remote ~range ?(edge_loss = 0.3) () : Chan.t =
   if range <= 0. then invalid_arg "Medium.channel: range must be positive";
+  let stats = Rina_util.Metrics.create () in
+  let c = Rina_util.Metrics.counter stats in
   let r =
     {
       local;
@@ -130,7 +144,16 @@ let channel t ~local ~remote ~range ?(edge_loss = 0.3) () : Chan.t =
       range;
       edge_loss;
       comp = Printf.sprintf "radio.%d-%d" local.id remote.id;
-      stats = Rina_util.Metrics.create ();
+      stats;
+      ctr =
+        {
+          tx = c "tx";
+          tx_bytes = c "tx_bytes";
+          rx = c "rx";
+          rx_bytes = c "rx_bytes";
+          dropped_down = c "dropped_down";
+          dropped_loss = c "dropped_loss";
+        };
       receiver = (fun _ -> ());
       watchers = [];
       was_up = false;

@@ -21,27 +21,9 @@ let create () =
     next_seq = 0;
   }
 
-let length h = h.size
+let[@inline] length h = h.size
 
-let is_empty h = h.size = 0
-
-(* [i] sorts before [j] if its key is smaller, or on equal keys if it
-   was inserted earlier — this gives FIFO semantics for simultaneous
-   events, which keeps simulations deterministic. *)
-let before h i j =
-  let ki = Float.Array.get h.keys i and kj = Float.Array.get h.keys j in
-  ki < kj || (ki = kj && h.seqs.(i) < h.seqs.(j))
-
-let swap h i j =
-  let k = Float.Array.get h.keys i in
-  Float.Array.set h.keys i (Float.Array.get h.keys j);
-  Float.Array.set h.keys j k;
-  let s = h.seqs.(i) in
-  h.seqs.(i) <- h.seqs.(j);
-  h.seqs.(j) <- s;
-  let v = h.vals.(i) in
-  h.vals.(i) <- h.vals.(j);
-  h.vals.(j) <- v
+let[@inline] is_empty h = h.size = 0
 
 (* Single growth path: the value being inserted doubles as the fill
    element, so growing from empty needs no reachable dummy and there is
@@ -61,25 +43,40 @@ let ensure_room h value =
     h.vals <- vals
   end
 
-let sift_up h start =
+(* Both sifts move a hole instead of swapping: the entry being placed
+   is carried in registers, each level shifts one entry into the hole
+   (one write per array per level), and the carried entry is written
+   once at the end.  [(k, s)] sorts before [(k', s')] if its key is
+   smaller, or on equal keys if it was inserted earlier — FIFO
+   semantics for simultaneous events, which keeps simulations
+   deterministic.  The comparisons read the unboxed key and seq arrays
+   inline.  [sift_down] reads its carried entry from slot [src] rather
+   than taking the key as an argument, which would box it on every
+   pop. *)
+
+let sift_up h start key seq value =
+  let keys = h.keys and seqs = h.seqs and vals = h.vals in
   let i = ref start in
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if before h !i parent then begin
-      swap h !i parent;
+    let pk = Float.Array.get keys parent in
+    if key < pk || (key = pk && seq < seqs.(parent)) then begin
+      Float.Array.set keys !i pk;
+      seqs.(!i) <- seqs.(parent);
+      vals.(!i) <- vals.(parent);
       i := parent
     end
     else continue := false
-  done
+  done;
+  Float.Array.set keys !i key;
+  seqs.(!i) <- seq;
+  vals.(!i) <- value
 
 let push_raw h key seq value =
   ensure_room h value;
-  Float.Array.set h.keys h.size key;
-  h.seqs.(h.size) <- seq;
-  h.vals.(h.size) <- value;
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  sift_up h (h.size - 1) key seq value
 
 let push h key value =
   let seq = h.next_seq in
@@ -95,41 +92,54 @@ let push_with_seq h ~key ~seq value =
   if seq >= h.next_seq then h.next_seq <- seq + 1;
   push_raw h key seq value
 
-let sift_down_from h start =
-  let i = ref start in
+let sift_down h hole src =
+  let keys = h.keys and seqs = h.seqs and vals = h.vals and size = h.size in
+  let key = Float.Array.get keys src and seq = seqs.(src) and value = vals.(src) in
+  let i = ref hole in
   let continue = ref true in
   while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < h.size && before h l !smallest then smallest := l;
-    if r < h.size && before h r !smallest then smallest := r;
-    if !smallest <> !i then begin
-      swap h !smallest !i;
-      i := !smallest
+    let l = (2 * !i) + 1 in
+    if l >= size then continue := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < size then begin
+          let kl = Float.Array.get keys l and kr = Float.Array.get keys r in
+          if kr < kl || (kr = kl && seqs.(r) < seqs.(l)) then r else l
+        end
+        else l
+      in
+      let ck = Float.Array.get keys c in
+      if ck < key || (ck = key && seqs.(c) < seq) then begin
+        Float.Array.set keys !i ck;
+        seqs.(!i) <- seqs.(c);
+        vals.(!i) <- vals.(c);
+        i := c
+      end
+      else continue := false
     end
-    else continue := false
-  done
+  done;
+  Float.Array.set keys !i key;
+  seqs.(!i) <- seq;
+  vals.(!i) <- value
 
 (* Unboxed access: the engine's event loop reads the top fields and
    drops the minimum without materialising an option or a tuple. *)
 
-let top_key h =
+let[@inline] top_key h =
   if h.size = 0 then invalid_arg "Heap.top_key: empty heap";
   Float.Array.get h.keys 0
 
-let top_value h =
+let[@inline] top_value h =
   if h.size = 0 then invalid_arg "Heap.top_value: empty heap";
   h.vals.(0)
 
 let drop_min h =
   if h.size = 0 then invalid_arg "Heap.drop_min: empty heap";
-  h.size <- h.size - 1;
-  if h.size > 0 then begin
-    Float.Array.set h.keys 0 (Float.Array.get h.keys h.size);
-    h.seqs.(0) <- h.seqs.(h.size);
-    h.vals.(0) <- h.vals.(h.size);
-    sift_down_from h 0
-  end
+  let last = h.size - 1 in
+  h.size <- last;
+  if last > 0 then
+    sift_down h 0 last
 
 let pop h =
   if h.size = 0 then None
@@ -160,7 +170,7 @@ let compact h ~keep =
   let removed = h.size - !kept in
   h.size <- !kept;
   for i = (h.size / 2) - 1 downto 0 do
-    sift_down_from h i
+    sift_down h i i
   done;
   removed
 

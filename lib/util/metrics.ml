@@ -34,6 +34,35 @@ let add t name n =
 let get t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
+(* ---------- counter handles ----------
+
+   A handle caches the counter's cell so a per-PDU bump is a field
+   load and an increment, with no string hashing.  It binds lazily:
+   until the first bump it points at [unbound] (shared, never written),
+   so a handle that is never bumped registers no name and [to_list]
+   reads exactly as if the name API had been used. *)
+
+type counter = { reg : t; name : string; mutable cell : int ref }
+
+let unbound = ref 0
+
+let counter t name = { reg = t; name; cell = unbound }
+
+let bind c =
+  let r = find c.reg c.name in
+  c.cell <- r;
+  r
+
+let[@inline] cell c = if c.cell == unbound then bind c else c.cell
+
+let[@inline] bump c = Stdlib.incr (cell c)
+
+let bump_by c n =
+  let r = cell c in
+  r := max 0 (!r + n)
+
+let value c = if c.cell == unbound then get c.reg c.name else !(c.cell)
+
 let to_list t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -52,6 +81,19 @@ let set_gauge t name v = find_gauge t name := v
 
 let gauge t name =
   match Hashtbl.find_opt t.gauges name with Some r -> !r | None -> 0.
+
+type gauge_handle = { greg : t; gname : string; mutable gcell : float ref }
+
+let unbound_gauge = ref 0.
+
+let gauge_handle t name = { greg = t; gname = name; gcell = unbound_gauge }
+
+let raise_gauge g v =
+  let cur = if g.gcell == unbound_gauge then gauge g.greg g.gname else !(g.gcell) in
+  if v > cur then begin
+    if g.gcell == unbound_gauge then g.gcell <- find_gauge g.greg g.gname;
+    g.gcell := v
+  end
 
 let gauges t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.gauges []

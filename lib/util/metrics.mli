@@ -24,6 +24,38 @@ val add : t -> string -> int -> unit
 val get : t -> string -> int
 (** Current value; 0 for a counter never touched. *)
 
+(** {2 Counter handles}
+
+    A handle names one counter of one registry, resolved once (at
+    component creation) so a per-PDU increment is a field bump rather
+    than a string hash.  Handles and names address the same cells:
+    [get], [to_list] and [pp] cannot tell how a counter was bumped.  A
+    handle registers its name on its first bump, so one that is never
+    bumped leaves the registry untouched; it stays live across
+    {!reset}. *)
+
+type counter
+
+val counter : t -> string -> counter
+
+val bump : counter -> unit
+(** [bump c] is [incr reg name]. *)
+
+val bump_by : counter -> int -> unit
+(** [bump_by c n] is [add reg name n], with the same clamp at zero. *)
+
+val value : counter -> int
+(** [get reg name]. *)
+
+type gauge_handle
+
+val gauge_handle : t -> string -> gauge_handle
+
+val raise_gauge : gauge_handle -> float -> unit
+(** High-water mark: [raise_gauge g v] sets the gauge to [v] when [v]
+    exceeds its current value (0. for a gauge never written), and
+    registers nothing otherwise. *)
+
 val reset : t -> unit
 (** Zero every counter and gauge (names stay registered) and drop all
     histograms. *)

@@ -30,6 +30,20 @@ let test_apn_roundtrip () =
 
 (* ---------- Pdu ---------- *)
 
+(* A PDU framed as the data path frames it, then checked and parsed
+   back as a receiving RMT does. *)
+let frame_roundtrip p =
+  let f = Pdu.encode_frame p in
+  match Sdu.verify_len f with
+  | Some len -> Pdu.decode_sub f ~len
+  | None -> Error "trailer rejected"
+
+(* A sealed frame carrying [body]. *)
+let sealed body =
+  let f = Bytes.extend body 0 Sdu.overhead in
+  Sdu.seal f;
+  f
+
 let test_pdu_roundtrip_all_types () =
   List.iter
     (fun pdu_type ->
@@ -39,7 +53,7 @@ let test_pdu_roundtrip_all_types () =
           ~flags:(Pdu.flag_drf lor Pdu.flag_fin)
           (Bytes.of_string "payload bytes")
       in
-      match Pdu.decode (Pdu.encode p) with
+      match frame_roundtrip p with
       | Ok q ->
         Alcotest.(check bool) "equal" true (p = q);
         Alcotest.(check bool) "drf" true (Pdu.has_flag q Pdu.flag_drf);
@@ -51,18 +65,19 @@ let test_pdu_header_size () =
   let p =
     Pdu.make ~pdu_type:Pdu.Dtp ~dst_addr:1 ~src_addr:2 (Bytes.create 100)
   in
-  check Alcotest.int "encoded length" (Pdu.header_size + 100)
-    (Bytes.length (Pdu.encode p))
+  check Alcotest.int "encoded length" (Pdu.header_size + 100 + Sdu.overhead)
+    (Bytes.length (Pdu.encode_frame p));
+  check Alcotest.int "encoded_size" (Pdu.header_size + 100) (Pdu.encoded_size p)
 
 let test_pdu_decode_garbage () =
-  (match Pdu.decode (Bytes.of_string "nonsense") with
+  (match Pdu.decode_sub (Bytes.of_string "nonsense") ~len:8 with
    | Ok _ -> Alcotest.fail "accepted garbage"
    | Error _ -> ());
   (* wrong version byte *)
   let p = Pdu.make ~pdu_type:Pdu.Dtp ~dst_addr:1 ~src_addr:2 Bytes.empty in
-  let b = Pdu.encode p in
+  let b = Pdu.encode_frame p in
   Bytes.set b 0 '\x63';
-  match Pdu.decode b with
+  match Pdu.decode_sub b ~len:(Bytes.length b - Sdu.overhead) with
   | Ok _ -> Alcotest.fail "accepted bad version"
   | Error _ -> ()
 
@@ -83,7 +98,7 @@ let prop_pdu_roundtrip =
   in
   QCheck.Test.make ~name:"pdu encode/decode roundtrip" ~count:300
     (QCheck.make gen)
-    (fun p -> match Pdu.decode (Pdu.encode p) with Ok q -> p = q | Error _ -> false)
+    (fun p -> match frame_roundtrip p with Ok q -> p = q | Error _ -> false)
 
 (* ---------- Sdu_protection ---------- *)
 
@@ -94,22 +109,22 @@ let test_crc32_known_vector () =
 
 let test_sdu_roundtrip_and_corruption () =
   let body = Bytes.of_string "some frame body" in
-  let f = Sdu.protect body in
+  let f = sealed body in
   check Alcotest.int "overhead" (Bytes.length body + Sdu.overhead) (Bytes.length f);
-  (match Sdu.verify f with
-   | Some b -> check Alcotest.bytes "roundtrip" body b
+  (match Sdu.verify_len f with
+   | Some len -> check Alcotest.bytes "roundtrip" body (Bytes.sub f 0 len)
    | None -> Alcotest.fail "verify failed");
   (* Corrupt each of a few positions. *)
   List.iter
     (fun pos ->
       let g = Bytes.copy f in
       Bytes.set g pos (Char.chr (Char.code (Bytes.get g pos) lxor 0x40));
-      match Sdu.verify g with
+      match Sdu.verify_len g with
       | Some _ -> Alcotest.fail "accepted corrupt frame"
       | None -> ())
     [ 0; 5; Bytes.length f - 1 ];
   (* Too short. *)
-  match Sdu.verify (Bytes.of_string "ab") with
+  match Sdu.verify_len (Bytes.of_string "ab") with
   | Some _ -> Alcotest.fail "accepted short frame"
   | None -> ()
 
@@ -173,7 +188,7 @@ let gen_patch =
     int_range 34 1600 >>= fun body ->
     string_size (return body) >>= fun s ->
     oneofl [ Pdu.ttl_offset; 33; 0; body - 1 ] >>= fun pos ->
-    int_range 0 255 >>= fun v -> return (Sdu.protect (Bytes.of_string s), pos, v))
+    int_range 0 255 >>= fun v -> return (sealed (Bytes.of_string s), pos, v))
 
 let print_patch (f, pos, v) =
   Printf.sprintf "len=%d pos=%d v=%d" (Bytes.length f) pos v
@@ -189,7 +204,7 @@ let prop_set_byte_matches_seal =
       Bytes.equal f expect && Sdu.verify_len f <> None)
 
 let test_set_byte_noop () =
-  let f = Sdu.protect (Bytes.init 100 (fun i -> Char.chr i)) in
+  let f = sealed (Bytes.init 100 (fun i -> Char.chr i)) in
   let before = Bytes.copy f in
   Sdu.set_byte f ~pos:Pdu.ttl_offset (Bytes.get_uint8 f Pdu.ttl_offset);
   check Alcotest.bytes "unchanged" before f;
@@ -207,7 +222,7 @@ let test_set_byte_noop () =
 let test_set_byte_large_frame () =
   (* 100 KB: the byte-count digits of the patch reach 256^2. *)
   let body = 100_000 in
-  let f = Sdu.protect (Bytes.init body (fun i -> Char.chr ((i * 31) land 0xFF))) in
+  let f = sealed (Bytes.init body (fun i -> Char.chr ((i * 31) land 0xFF))) in
   List.iter
     (fun pos ->
       let expect = Bytes.copy f in

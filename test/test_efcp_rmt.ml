@@ -406,7 +406,11 @@ let own_addr = 10
 let make_rmt ?(scheduler = Policy.Fifo) engine =
   Rmt.create engine ~own_address:(fun () -> own_addr) ~scheduler ()
 
-let frame_of pdu = Rina_core.Sdu_protection.protect (Pdu.encode pdu)
+(* Check and parse a frame as a receiving RMT does. *)
+let decode_frame f =
+  match Rina_core.Sdu_protection.verify_len f with
+  | Some len -> Pdu.decode_sub f ~len
+  | None -> Alcotest.fail "frame failed its trailer check"
 
 let data_pdu ~dst ?(src = 99) ?(ttl = 8) ?(qos_id = 0) () =
   Pdu.make ~pdu_type:Pdu.Dtp ~dst_addr:dst ~src_addr:src ~dst_cep:1 ~src_cep:1
@@ -425,7 +429,7 @@ let test_rmt_local_delivery_and_relay () =
   let relayed = ref [] in
   b_far.Chan.set_receiver (fun f -> relayed := f :: !relayed);
   (* Frame for us: delivered up with the ingress port. *)
-  a_far.Chan.send (frame_of (data_pdu ~dst:own_addr ()));
+  a_far.Chan.send (Pdu.encode_frame (data_pdu ~dst:own_addr ()));
   Engine.run engine;
   check Alcotest.int "delivered up" 1 (List.length !up);
   (match !up with
@@ -434,10 +438,10 @@ let test_rmt_local_delivery_and_relay () =
      check Alcotest.int "addr" own_addr addr
    | _ -> Alcotest.fail "bad delivery");
   (* Frame for 20: relayed out of port b with TTL decremented. *)
-  a_far.Chan.send (frame_of (data_pdu ~dst:20 ~ttl:8 ()));
+  a_far.Chan.send (Pdu.encode_frame (data_pdu ~dst:20 ~ttl:8 ()));
   Engine.run engine;
   check Alcotest.int "relayed" 1 (List.length !relayed);
-  (match Pdu.decode (Option.get (Rina_core.Sdu_protection.verify (List.hd !relayed))) with
+  (match decode_frame (List.hd !relayed) with
    | Ok pdu -> check Alcotest.int "ttl decremented" 7 pdu.Pdu.ttl
    | Error e -> Alcotest.fail e);
   check Alcotest.int "relay metric" 1 (Metrics.get (Rmt.metrics rmt) "relayed")
@@ -448,7 +452,7 @@ let test_rmt_ttl_expiry () =
   let a_near, a_far = Chan.pair () in
   ignore (Rmt.add_port rmt a_near);
   Rmt.set_forwarding rmt (fun _ -> None);
-  a_far.Chan.send (frame_of (data_pdu ~dst:20 ~ttl:1 ()));
+  a_far.Chan.send (Pdu.encode_frame (data_pdu ~dst:20 ~ttl:1 ()));
   Engine.run engine;
   check Alcotest.int "ttl_expired" 1 (Metrics.get (Rmt.metrics rmt) "ttl_expired")
 
@@ -458,7 +462,7 @@ let test_rmt_no_route () =
   let a_near, a_far = Chan.pair () in
   ignore (Rmt.add_port rmt a_near);
   Rmt.set_forwarding rmt (fun _ -> None);
-  a_far.Chan.send (frame_of (data_pdu ~dst:20 ()));
+  a_far.Chan.send (Pdu.encode_frame (data_pdu ~dst:20 ()));
   Engine.run engine;
   check Alcotest.int "no_route" 1 (Metrics.get (Rmt.metrics rmt) "no_route")
 
@@ -468,11 +472,13 @@ let test_rmt_crc_and_decode_drops () =
   let a_near, a_far = Chan.pair () in
   ignore (Rmt.add_port rmt a_near);
   a_far.Chan.send (Bytes.of_string "not even a frame");
-  let corrupt = frame_of (data_pdu ~dst:own_addr ()) in
+  let corrupt = Pdu.encode_frame (data_pdu ~dst:own_addr ()) in
   Bytes.set corrupt 3 '\xFF';
   a_far.Chan.send corrupt;
   (* Valid CRC over an undecodable body. *)
-  a_far.Chan.send (Rina_core.Sdu_protection.protect (Bytes.of_string "junk"));
+  let junk = Bytes.extend (Bytes.of_string "junk") 0 Rina_core.Sdu_protection.overhead in
+  Rina_core.Sdu_protection.seal junk;
+  a_far.Chan.send junk;
   Engine.run engine;
   check Alcotest.int "crc dropped" 2 (Metrics.get (Rmt.metrics rmt) "crc_dropped");
   check Alcotest.int "decode dropped" 1 (Metrics.get (Rmt.metrics rmt) "decode_dropped")
@@ -485,8 +491,8 @@ let test_rmt_ingress_filter () =
   Rmt.set_ingress_filter rmt (fun _ pdu -> pdu.Pdu.src_addr <> 666);
   let a_near, a_far = Chan.pair () in
   ignore (Rmt.add_port rmt a_near);
-  a_far.Chan.send (frame_of (data_pdu ~dst:own_addr ~src:666 ()));
-  a_far.Chan.send (frame_of (data_pdu ~dst:own_addr ~src:1 ()));
+  a_far.Chan.send (Pdu.encode_frame (data_pdu ~dst:own_addr ~src:666 ()));
+  a_far.Chan.send (Pdu.encode_frame (data_pdu ~dst:own_addr ~src:1 ()));
   Engine.run engine;
   check Alcotest.int "one passed" 1 !up;
   check Alcotest.int "one filtered" 1 (Metrics.get (Rmt.metrics rmt) "ingress_dropped")
@@ -517,7 +523,7 @@ let test_rmt_priority_scheduling () =
   let p = Rmt.add_port rmt ~rate:80_000. a_near in
   let order = ref [] in
   a_far.Chan.set_receiver (fun f ->
-      match Pdu.decode (Option.get (Rina_core.Sdu_protection.verify f)) with
+      match decode_frame f with
       | Ok pdu -> order := pdu.Pdu.qos_id :: !order
       | Error _ -> ());
   (* Enqueue: one low, then burst of low and high; the first low is
@@ -615,7 +621,7 @@ let test_rmt_drr_shares () =
   let served = Array.make 8 0 in
   let first_30 = ref [] in
   a_far.Chan.set_receiver (fun f ->
-      match Pdu.decode (Option.get (Rina_core.Sdu_protection.verify f)) with
+      match decode_frame f with
       | Ok pdu ->
         served.(pdu.Pdu.qos_id) <- served.(pdu.Pdu.qos_id) + 1;
         if List.length !first_30 < 30 then first_30 := pdu.Pdu.qos_id :: !first_30

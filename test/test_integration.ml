@@ -432,7 +432,7 @@ let test_unauthenticated_injection_dropped () =
       ~src_addr:1 ~dst_cep:1 ~src_cep:1 ~seq:1 (Bytes.of_string "evil")
   in
   (Link.endpoint_a l).Rina_sim.Chan.send
-    (Rina_core.Sdu_protection.protect (Rina_core.Pdu.encode pdu));
+    (Rina_core.Pdu.encode_frame pdu);
   wait engine 2.;
   Alcotest.(check bool) "dropped at ingress" true
     (Metrics.get (Ipcp.rmt_metrics b) "ingress_dropped" >= 1);
@@ -709,6 +709,111 @@ let test_dead_peer_fires_only_after_timeout () =
     (List.mem_assoc peer (Ipcp.neighbors n0));
   check Alcotest.int "peer LSA withdrawn" 1 (Ipcp.lsdb_size n0)
 
+(* Verbatim copies (over [Ipcp.attachments] instead of the port table)
+   of the fold+sort passes the per-neighbour point-of-attachment index
+   replaced: the live ports to one peer, the sticky choice among them,
+   and the live neighbour set. *)
+let ref_port_to_peer nports chosen peer =
+  let candidates =
+    List.fold_left
+      (fun acc (id, np_peer, alive) ->
+        if np_peer = peer && alive then id :: acc else acc)
+      [] nports
+    |> List.sort compare
+  in
+  match candidates with
+  | [] -> None
+  | first :: _ -> (
+    match chosen with
+    | Some p when List.mem p candidates -> Some p
+    | Some _ | None -> Some first)
+
+let ref_neighbors nports =
+  let by_peer : (Types.address, Types.port_id list) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun (id, np_peer, alive) ->
+      if np_peer > 0 && alive then
+        Hashtbl.replace by_peer np_peer
+          (id
+           :: (match Hashtbl.find_opt by_peer np_peer with
+               | Some l -> l
+               | None -> [])))
+    nports;
+  Hashtbl.fold (fun peer ports acc -> (peer, List.sort compare ports) :: acc) by_peer []
+  |> List.sort compare
+
+(* A multihomed process [x] — two ports to [a], one each to [b] and
+   [c] — driven through every event that changes a port's peer or
+   liveness.  After each step its neighbour set and the port it picks
+   toward each neighbour must match the reference passes. *)
+let test_poa_index_matches_reference () =
+  let engine = Engine.create () in
+  let rng = Rina_util.Prng.create 11 in
+  let dif = Dif.create engine ~policy:chaos_policy "poa" in
+  let a = Dif.add_member dif ~name:"a" () in
+  let x = Dif.add_member dif ~name:"x" () in
+  let b = Dif.add_member dif ~name:"b" () in
+  let c = Dif.add_member dif ~name:"c" () in
+  let link () = Link.create engine rng ~bit_rate:10_000_000. ~delay:0.001 () in
+  let xa1 = link () and xa2 = link () and xb = link () and xc = link () in
+  List.iter
+    (fun (l, peer) -> Dif.connect dif x peer (Link.endpoint_a l, Link.endpoint_b l))
+    [ (xa1, a); (xa2, a); (xb, b); (xc, c) ];
+  Dif.run_until_converged dif ();
+  let peers = List.map Ipcp.address [ a; b; c ] in
+  let step name =
+    let nports = Ipcp.attachments x in
+    let nbrs = Ipcp.neighbors x in
+    check
+      Alcotest.(list (pair int (list int)))
+      (name ^ ": neighbors") (ref_neighbors nports) nbrs;
+    List.iter
+      (fun peer ->
+        let expect = ref_port_to_peer nports (Ipcp.chosen_attachment x peer) peer in
+        check
+          Alcotest.(option int)
+          (Printf.sprintf "%s: port to %d" name peer)
+          expect (Ipcp.attachment_to x peer))
+      peers;
+    nbrs
+  in
+  let ports_to peer nbrs = try List.assoc peer nbrs with Not_found -> [] in
+  let addr_a = Ipcp.address a and addr_b = Ipcp.address b in
+  let nbrs = step "hello" in
+  check Alcotest.int "three neighbours" 3 (List.length nbrs);
+  check Alcotest.int "two ports to a" 2 (List.length (ports_to addr_a nbrs));
+  Link.set_up xa1 false;
+  let nbrs = step "carrier loss" in
+  check Alcotest.int "one live port to a" 1 (List.length (ports_to addr_a nbrs));
+  Link.set_up xa1 true;
+  wait engine 1.;
+  ignore (step "carrier back");
+  Link.set_blackhole xb true;
+  wait engine 2.;
+  let nbrs = step "dead peer" in
+  Alcotest.(check bool) "b declared dead" true
+    (Metrics.get (Ipcp.metrics x) "peer_declared_dead" >= 1
+     && not (List.mem_assoc addr_b nbrs));
+  Link.set_blackhole xb false;
+  wait engine 2.;
+  ignore (step "peer back");
+  (match ports_to addr_a (Ipcp.neighbors x) with
+   | [ _; second ] -> Ipcp.unbind_port x second
+   | _ -> Alcotest.fail "expected two ports to a before unbind");
+  let nbrs = step "unbind" in
+  check Alcotest.int "one port to a after unbind" 1 (List.length (ports_to addr_a nbrs));
+  Ipcp.leave x;
+  check Alcotest.(list (pair int (list int))) "leave forgets every peer" [] (step "leave");
+  wait engine 1.;
+  ignore (step "after leave");
+  Ipcp.crash x;
+  check Alcotest.(list (pair int (list int))) "crash forgets every peer" [] (step "crash");
+  Ipcp.restart x;
+  ignore (step "restart");
+  wait engine 5.;
+  Alcotest.(check bool) "re-enrolled" true (Ipcp.is_enrolled x);
+  check Alcotest.int "three neighbours again" 3 (List.length (step "re-enrolled"))
+
 let test_efcp_abort_surfaces_to_owner () =
   (* Park every routing-level detector so EFCP retransmission
      exhaustion is the only thing that can kill the flow. *)
@@ -833,6 +938,8 @@ let () =
             test_efcp_abort_surfaces_to_owner;
           Alcotest.test_case "rib anti-entropy reconverges" `Quick
             test_rib_anti_entropy_reconverges;
+          Alcotest.test_case "PoA index = fold+sort reference" `Quick
+            test_poa_index_matches_reference;
         ] );
       ( "lifecycle",
         [

@@ -168,17 +168,26 @@ let prop_heap_sorts =
    the drain order is nondecreasing in (key, seq) — i.e. compaction
    preserves heap order and FIFO tie-breaking, and reserved sequence
    numbers pushed out of order (the timer wheel's flush protocol)
-   still land in reservation order on equal keys. *)
+   still land in reservation order on equal keys.  Two more inputs
+   stress the sifts' tie handling: [ties] draws every key from three
+   values, so most comparisons fall through to the seq, and [parked]
+   holds reserved seqs back across later pushes and pops before
+   pushing them in random order. *)
 let prop_heap_interleaved_compaction =
   QCheck.Test.make ~name:"heap matches model under push/pop/cancel-compaction"
-    ~count:60
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
+    ~count:120
+    QCheck.(triple (int_bound 1_000_000) bool bool)
+    (fun (seed, ties, parking) ->
       let rng = Prng.create (seed + 1) in
       let h = Heap.create () in
       let model = ref [] in
       (* live (key, seq) pairs *)
+      let parked = ref [] in
+      (* reserved, not yet pushed *)
       let ok = ref true in
+      let key () =
+        if ties then float_of_int (Prng.int rng 3) else Prng.float rng 50.
+      in
       let model_min () =
         List.fold_left
           (fun acc kv ->
@@ -198,11 +207,12 @@ let prop_heap_interleaved_compaction =
         Heap.push_with_seq h ~key:k ~seq seq;
         model := (k, seq) :: !model
       in
+      let ops = if parking then 10 else 8 in
       for _ = 1 to 300 do
-        match Prng.int rng 8 with
+        match Prng.int rng ops with
         | 0 | 1 | 2 ->
           let seq = Heap.reserve_seq h in
-          push_seq (Prng.float rng 50.) seq
+          push_seq (key ()) seq
         | 3 | 4 -> pop_check ()
         | 5 ->
           (* cancel a random subset wholesale, as the engine's reap
@@ -214,17 +224,26 @@ let prop_heap_interleaved_compaction =
           in
           ignore (Heap.compact h ~keep:(fun s -> not (List.mem s doomed)));
           model := List.filter (fun (_, s) -> not (List.mem s doomed)) !model
-        | _ ->
+        | 6 | 7 ->
           (* two wheel-parked entries flushed in reverse reservation
              order, sometimes with equal keys: the FIFO tie must follow
              the reservation, not the push *)
           let seq1 = Heap.reserve_seq h in
           let seq2 = Heap.reserve_seq h in
-          let k1 = Prng.float rng 50. in
-          let k2 = if Prng.bernoulli rng 0.5 then k1 else Prng.float rng 50. in
+          let k1 = key () in
+          let k2 = if Prng.bernoulli rng 0.5 then k1 else key () in
           push_seq k2 seq2;
           push_seq k1 seq1
+        | 8 -> parked := (key (), Heap.reserve_seq h) :: !parked
+        | _ -> (
+          match !parked with
+          | [] -> ()
+          | l ->
+            let k, seq = List.nth l (Prng.int rng (List.length l)) in
+            parked := List.filter (fun (_, s) -> s <> seq) l;
+            push_seq k seq)
       done;
+      List.iter (fun (k, seq) -> push_seq k seq) !parked;
       while (not (Heap.is_empty h)) && !ok do
         pop_check ()
       done;
@@ -437,6 +456,70 @@ let test_metrics () =
   Metrics.reset m;
   check Alcotest.int "reset" 0 (Metrics.get m "a")
 
+
+(* Handles and names address the same cells: a registry bumped through
+   handles reads, lists and prints exactly like one bumped by name. *)
+let test_metrics_handles () =
+  let by_name = Metrics.create () and by_handle = Metrics.create () in
+  Metrics.incr by_name "tx";
+  Metrics.incr by_name "tx";
+  Metrics.add by_name "tx_bytes" 300;
+  Metrics.set_gauge by_name "queue_hwm" 3.;
+  let tx = Metrics.counter by_handle "tx"
+  and tx_bytes = Metrics.counter by_handle "tx_bytes"
+  and unused = Metrics.counter by_handle "never_bumped"
+  and hwm = Metrics.gauge_handle by_handle "queue_hwm"
+  and unused_gauge = Metrics.gauge_handle by_handle "never_set" in
+  Metrics.bump tx;
+  Metrics.bump tx;
+  Metrics.bump_by tx_bytes 300;
+  Metrics.raise_gauge hwm 2.;
+  Metrics.raise_gauge hwm 3.;
+  Metrics.raise_gauge hwm 1.;
+  Metrics.raise_gauge unused_gauge 0.;
+  check Alcotest.int "get" (Metrics.get by_name "tx") (Metrics.get by_handle "tx");
+  check Alcotest.int "value" 2 (Metrics.value tx);
+  check Alcotest.int "unbound value" 0 (Metrics.value unused);
+  check
+    Alcotest.(list (pair string int))
+    "to_list (no never_bumped)" (Metrics.to_list by_name) (Metrics.to_list by_handle);
+  check
+    Alcotest.(list (pair string (float 0.)))
+    "gauges (no never_set)" (Metrics.gauges by_name) (Metrics.gauges by_handle);
+  check Alcotest.string "pp"
+    (Format.asprintf "%a" Metrics.pp by_name)
+    (Format.asprintf "%a" Metrics.pp by_handle);
+  (* Names and handles share one cell, either may go first. *)
+  Metrics.incr by_handle "tx";
+  check Alcotest.int "name after handle" 3 (Metrics.value tx);
+  let late = Metrics.counter by_name "tx" in
+  Metrics.bump late;
+  check Alcotest.int "handle after name" 3 (Metrics.get by_name "tx");
+  (* reset zeroes the cells but keeps the handles bound to them *)
+  Metrics.reset by_handle;
+  check Alcotest.int "reset" 0 (Metrics.value tx);
+  Metrics.bump tx;
+  check Alcotest.int "live after reset" 1 (Metrics.get by_handle "tx");
+  Metrics.raise_gauge hwm 1.;
+  check (Alcotest.float 0.) "gauge live after reset" 1. (Metrics.gauge by_handle "queue_hwm")
+
+(* [bump_by] clamps exactly like [add], including on a handle's first
+   bump. *)
+let test_metrics_handle_clamp () =
+  let by_name = Metrics.create () and by_handle = Metrics.create () in
+  let a = Metrics.counter by_handle "a" and b = Metrics.counter by_handle "b" in
+  List.iter
+    (fun n ->
+      Metrics.add by_name "a" n;
+      Metrics.bump_by a n)
+    [ 5; -9; 3; -3; 0; 7 ];
+  Metrics.add by_name "b" (-4);
+  Metrics.bump_by b (-4);
+  check
+    Alcotest.(list (pair string int))
+    "same cells" (Metrics.to_list by_name) (Metrics.to_list by_handle);
+  check Alcotest.int "a" 7 (Metrics.value a);
+  check Alcotest.int "b registered at zero" 0 (Metrics.get by_handle "b")
 
 (* ---------- Flight recorder ---------- *)
 
@@ -978,6 +1061,8 @@ let () =
           Alcotest.test_case "metrics clamp" `Quick test_metrics_clamp;
           Alcotest.test_case "metrics sorted export" `Quick test_metrics_sorted_export;
           Alcotest.test_case "metrics pp golden" `Quick test_metrics_pp_golden;
+          Alcotest.test_case "metrics handles = names" `Quick test_metrics_handles;
+          Alcotest.test_case "metrics handle clamp" `Quick test_metrics_handle_clamp;
           Alcotest.test_case "span_of" `Quick test_span_of;
           Alcotest.test_case "reason strings" `Quick test_reason_strings;
           Alcotest.test_case "buffer" `Quick test_flight_buf;
