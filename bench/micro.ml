@@ -148,6 +148,27 @@ let bench_metrics_handle =
   Test.make ~name:"metrics_bump_handle"
     (Staged.stage (fun () -> Rina_util.Metrics.bump c))
 
+(* Per-flow setup: one EFCP instance under the default policy and under
+   R3's (= lossy_incast's) policy, whose 1024-slot dup cache only an
+   unreliable unordered flow builds. *)
+let bench_efcp_create name config =
+  let engine = Rina_sim.Engine.create () in
+  Test.make ~name
+    (Staged.stage (fun () ->
+         Rina_core.Efcp.create engine ~config ~in_order:true ~local_cep:1
+           ~remote_cep:2 ~qos_id:1
+           ~send_pdu:(fun _ -> 0)
+           ~deliver:(fun _ -> ())
+           ~on_error:(fun _ -> ())
+           ()))
+
+let bench_efcp_create_default =
+  bench_efcp_create "efcp_create_default" Rina_core.Policy.default_efcp
+
+let bench_efcp_create_incast =
+  bench_efcp_create "efcp_create_incast_policy"
+    Exp_r3.congestion_policy.Rina_core.Policy.efcp
+
 let bench_engine =
   Test.make ~name:"engine_schedule_run_x100"
     (Staged.stage (fun () ->
@@ -189,6 +210,8 @@ let benchmarks =
       bench_heap;
       bench_heap_depth300;
       bench_engine;
+      bench_efcp_create_default;
+      bench_efcp_create_incast;
       bench_rib;
     ]
 

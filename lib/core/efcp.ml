@@ -1,4 +1,5 @@
 type unacked = {
+  seq : int;
   payload : bytes;
   mutable sent_at : float;
   mutable retries : int;
@@ -8,6 +9,23 @@ type unacked = {
   mutable path : int;
       (* egress port the last copy rode (0 = unknown): lets failover
          re-stripe exactly the PDUs stranded on a dead path *)
+}
+
+(* The empty retransmission slot, shared by every ring: a lookup
+   returns it for a seq with no entry, and no caller writes to it. *)
+let vacant =
+  { seq = -1; payload = Bytes.empty; sent_at = 0.; retries = 0; sacked = false;
+    path = 0 }
+
+(* Duplicate suppression for unreliable unordered flows: a ring of the
+   last [max_dup_cache] delivered seqs (0 = empty slot) with a
+   hashtable for O(1) membership.  Reliable and in-order flows are
+   already exactly-once via rcv_next / highest_delivered, so they never
+   build one. *)
+type dup_cache = {
+  seen : (int, unit) Hashtbl.t;
+  ring : int array;
+  mutable pos : int;
 }
 
 (* Handles onto [metrics] for the counters every PDU bumps, resolved
@@ -53,7 +71,11 @@ type t = {
   mutable next_seq : int;        (* next sequence number to assign *)
   mutable snd_una : int;         (* lowest unacknowledged sequence *)
   mutable send_limit : int;      (* may send seq < send_limit (peer credit) *)
-  retx : (int, unacked) Hashtbl.t;
+  mutable retx : unacked array;
+      (* seq-indexed ring of the outstanding PDUs: [window] slots
+         rounded up to a power of two, allocated on the first send.
+         In-flight data never exceeds the window (SAN_EFCP_WINDOW), so
+         the live seqs [snd_una, next_seq) never share a slot. *)
   backlog : bytes Queue.t;
   mutable rto : float;
   mutable srtt : float;
@@ -80,20 +102,15 @@ type t = {
   mutable pace_timer : Rina_sim.Engine.handle option;
   (* --- receiver --- *)
   mutable rcv_next : int;
-  ooo : (int, bytes) Hashtbl.t;
+  mutable ooo : (int, bytes) Hashtbl.t option;
+      (* reorder buffer, created on the first out-of-order arrival *)
   mutable highest_delivered : int;  (* for unreliable in-order flows *)
   mutable ack_timer : Rina_sim.Engine.handle option;
   mutable ecn_pending : bool;  (* echo the congestion mark on the next ack *)
-  (* duplicate-suppression cache for unreliable unordered flows: a ring
-     of the last [max_dup_cache] delivered seqs (0 = empty slot) with a
-     hashtable for O(1) membership.  Reliable / in-order flows are
-     already exactly-once via rcv_next / highest_delivered. *)
-  dup_cache : (int, unit) Hashtbl.t;
-  dup_ring : int array;
-  mutable dup_ring_pos : int;
+  dup : dup_cache option;  (* unreliable unordered flows only *)
   (* sanitizer shadow state for the exactly-once invariants; only
-     populated while [Rina_util.Invariant.enabled] *)
-  san_delivered : (int, unit) Hashtbl.t;
+     created while [Rina_util.Invariant.enabled] *)
+  mutable san_delivered : (int, unit) Hashtbl.t option;
   mutable san_last_seq : int;
   mutable closed : bool;
   mutable errored : bool;
@@ -105,6 +122,12 @@ let create engine ~config ~in_order ~local_cep ~remote_cep ~qos_id ?span_keys
     match span_keys with Some keys -> keys | None -> (remote_cep, local_cep)
   in
   let metrics = Rina_util.Metrics.create () in
+  let dup =
+    let n = config.Policy.max_dup_cache in
+    if config.Policy.rtx_strategy = Policy.No_rtx && (not in_order) && n > 0 then
+      Some { seen = Hashtbl.create (min 64 n); ring = Array.make n 0; pos = 0 }
+    else None
+  in
   {
     engine;
     config;
@@ -123,7 +146,7 @@ let create engine ~config ~in_order ~local_cep ~remote_cep ~qos_id ?span_keys
     next_seq = 1;
     snd_una = 1;
     send_limit = 1 + config.Policy.window;
-    retx = Hashtbl.create 64;
+    retx = [||];
     backlog = Queue.create ();
     rto = config.Policy.init_rto;
     srtt = 0.;
@@ -140,14 +163,12 @@ let create engine ~config ~in_order ~local_cep ~remote_cep ~qos_id ?span_keys
     pace = None;
     pace_timer = None;
     rcv_next = 1;
-    ooo = Hashtbl.create 64;
+    ooo = None;
     highest_delivered = 0;
     ack_timer = None;
     ecn_pending = false;
-    dup_cache = Hashtbl.create (max 1 (min 64 config.Policy.max_dup_cache));
-    dup_ring = Array.make (max 1 config.Policy.max_dup_cache) 0;
-    dup_ring_pos = 0;
-    san_delivered = Hashtbl.create 16;
+    dup;
+    san_delivered = None;
     san_last_seq = 0;
     closed = false;
     errored = false;
@@ -188,6 +209,21 @@ let reliable t =
   | Policy.No_rtx -> false
 
 let max_rto = 8.0
+
+(* The outstanding entry for [seq], or [vacant]. *)
+let[@inline] retx_find t seq =
+  let n = Array.length t.retx in
+  if n = 0 then vacant
+  else
+    let u = Array.unsafe_get t.retx (seq land (n - 1)) in
+    if u.seq = seq then u else vacant
+
+let retx_remove t seq =
+  let n = Array.length t.retx in
+  if n > 0 && t.retx.(seq land (n - 1)).seq = seq then
+    t.retx.(seq land (n - 1)) <- vacant
+
+let ooo_length t = match t.ooo with Some h -> Hashtbl.length h | None -> 0
 
 let cancel_timer handle_ref =
   match handle_ref with Some h -> Rina_sim.Engine.cancel h | None -> ()
@@ -249,9 +285,8 @@ and on_rto t =
   end
 
 and retransmit_seq t seq =
-  match Hashtbl.find_opt t.retx seq with
-  | None -> ()
-  | Some u ->
+  let u = retx_find t seq in
+  if u != vacant then
     if u.retries >= t.config.Policy.max_rtx then
       fail t (Printf.sprintf "seq %d exceeded %d retransmissions" seq u.retries)
     else begin
@@ -262,19 +297,28 @@ and retransmit_seq t seq =
       u.path <- t.send_pdu (dtp_pdu t seq u.payload)
     end
 
+let rec ring_slots n k = if k >= n then k else ring_slots n (2 * k)
+
 let transmit t payload =
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
-  if reliable t then
-    Hashtbl.replace t.retx seq
-      { payload; sent_at = Rina_sim.Engine.now t.engine; retries = 0;
-        sacked = false; path = 0 };
+  let u =
+    if reliable t then begin
+      if Array.length t.retx = 0 then
+        t.retx <- Array.make (ring_slots t.config.Policy.window 1) vacant;
+      let u =
+        { seq; payload; sent_at = Rina_sim.Engine.now t.engine; retries = 0;
+          sacked = false; path = 0 }
+      in
+      t.retx.(seq land (Array.length t.retx - 1)) <- u;
+      u
+    end
+    else vacant
+  in
   Rina_util.Metrics.bump t.ctr.pdus_sent;
   flight_tx t seq (Bytes.length payload) Flight.Pdu_sent;
   let path = t.send_pdu (dtp_pdu t seq payload) in
-  (match Hashtbl.find_opt t.retx seq with
-  | Some u -> u.path <- path
-  | None -> ());
+  if u != vacant && retx_find t seq == u then u.path <- path;
   if t.rto_timer = None then arm_rto_timer t
 
 (* Unreliable flows carry no acknowledgements, so credit never refills;
@@ -337,9 +381,7 @@ let send t payload =
 
 (* --- receiver side --- *)
 
-let recv_credit t =
-  let used = Hashtbl.length t.ooo in
-  max 1 (t.config.Policy.window - used)
+let recv_credit t = max 1 (t.config.Policy.window - ooo_length t)
 
 (* Selective-ack blocks: the reorder buffer's contents, coalesced into
    at most [sack_blocks] [start, stop) ranges (lowest first — those are
@@ -347,10 +389,9 @@ let recv_credit t =
    PDU's otherwise-empty payload.  With [sack_blocks = 0] the payload
    stays empty, which is the pre-adversarial wire format. *)
 let sack_payload t =
-  if t.config.Policy.sack_blocks = 0 || Hashtbl.length t.ooo = 0 then
-    Bytes.empty
-  else begin
-    let seqs = Hashtbl.fold (fun seq _ acc -> seq :: acc) t.ooo [] in
+  match t.ooo with
+  | Some ooo when t.config.Policy.sack_blocks <> 0 && Hashtbl.length ooo > 0 ->
+    let seqs = Hashtbl.fold (fun seq _ acc -> seq :: acc) ooo [] in
     let seqs = List.sort compare seqs in
     let blocks =
       List.fold_left
@@ -373,7 +414,7 @@ let sack_payload t =
         W.u32 w stop)
       blocks;
     W.contents w
-  end
+  | Some _ | None -> Bytes.empty
 
 let send_ack_now t =
   cancel_timer t.ack_timer;
@@ -414,10 +455,18 @@ let schedule_ack t =
    branch. *)
 let[@inline] san_delivery t seq =
   if Rina_util.Invariant.enabled () then begin
-    if Hashtbl.mem t.san_delivered seq then
+    let delivered =
+      match t.san_delivered with
+      | Some h -> h
+      | None ->
+        let h = Hashtbl.create 16 in
+        t.san_delivered <- Some h;
+        h
+    in
+    if Hashtbl.mem delivered seq then
       Rina_util.Invariant.record ~code:"SAN_dup_delivery"
         (Printf.sprintf "cep %d: SDU seq %d delivered twice" t.local_cep seq)
-    else Hashtbl.replace t.san_delivered seq ();
+    else Hashtbl.replace delivered seq ();
     if (reliable t || t.in_order) && seq < t.san_last_seq then
       Rina_util.Invariant.record ~code:"SAN_seq_regression"
         (Printf.sprintf "cep %d: SDU seq %d delivered after seq %d" t.local_cep
@@ -425,36 +474,37 @@ let[@inline] san_delivery t seq =
     if seq > t.san_last_seq then t.san_last_seq <- seq
   end
 
-let deliver_in_sequence t =
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt t.ooo t.rcv_next with
+let rec deliver_in_sequence t =
+  match t.ooo with
+  | None -> ()
+  | Some ooo -> (
+    match Hashtbl.find_opt ooo t.rcv_next with
+    | None -> ()
     | Some payload ->
       let seq = t.rcv_next in
-      Hashtbl.remove t.ooo seq;
+      Hashtbl.remove ooo seq;
       t.rcv_next <- t.rcv_next + 1;
       Rina_util.Metrics.bump t.ctr.delivered;
       flight_rx t seq (Bytes.length payload) Flight.Pdu_recvd;
       san_delivery t seq;
-      t.deliver payload
-    | None -> continue := false
-  done
+      t.deliver payload;
+      deliver_in_sequence t)
 
-(* Duplicate suppression for unreliable unordered flows: remember the
-   last [max_dup_cache] delivered seqs in a ring + membership table.
-   Returns [true] when [seq] was already delivered. *)
+(* [true] when [seq] is among the last [max_dup_cache] delivered seqs;
+   otherwise records it, evicting the oldest. *)
 let dup_cache_hit t seq =
-  t.config.Policy.max_dup_cache > 0
-  &&
-  if Hashtbl.mem t.dup_cache seq then true
-  else begin
-    let evicted = t.dup_ring.(t.dup_ring_pos) in
-    if evicted <> 0 then Hashtbl.remove t.dup_cache evicted;
-    t.dup_ring.(t.dup_ring_pos) <- seq;
-    t.dup_ring_pos <- (t.dup_ring_pos + 1) mod Array.length t.dup_ring;
-    Hashtbl.replace t.dup_cache seq ();
-    false
-  end
+  match t.dup with
+  | None -> false
+  | Some d ->
+    Hashtbl.mem d.seen seq
+    || begin
+      let evicted = d.ring.(d.pos) in
+      if evicted <> 0 then Hashtbl.remove d.seen evicted;
+      d.ring.(d.pos) <- seq;
+      d.pos <- (d.pos + 1) mod Array.length d.ring;
+      Hashtbl.replace d.seen seq ();
+      false
+    end
 
 let handle_dtp t (pdu : Pdu.t) =
   if Pdu.has_flag pdu Pdu.flag_ecn then begin
@@ -462,7 +512,10 @@ let handle_dtp t (pdu : Pdu.t) =
     t.ecn_pending <- true
   end;
   if reliable t then begin
-    if pdu.Pdu.seq < t.rcv_next || Hashtbl.mem t.ooo pdu.Pdu.seq then begin
+    if
+      pdu.Pdu.seq < t.rcv_next
+      || (match t.ooo with Some h -> Hashtbl.mem h pdu.Pdu.seq | None -> false)
+    then begin
       Rina_util.Metrics.incr t.metrics "dup_rcvd";
       flight_rx t pdu.Pdu.seq
         (Bytes.length pdu.Pdu.payload)
@@ -480,8 +533,16 @@ let handle_dtp t (pdu : Pdu.t) =
       (* Out of order. *)
       match t.config.Policy.rtx_strategy with
       | Policy.Selective_repeat ->
-        if Hashtbl.length t.ooo < t.config.Policy.reorder_window then begin
-          Hashtbl.replace t.ooo pdu.Pdu.seq pdu.Pdu.payload;
+        if ooo_length t < t.config.Policy.reorder_window then begin
+          let ooo =
+            match t.ooo with
+            | Some h -> h
+            | None ->
+              let h = Hashtbl.create 64 in
+              t.ooo <- Some h;
+              h
+          in
+          Hashtbl.replace ooo pdu.Pdu.seq pdu.Pdu.payload;
           Rina_util.Metrics.incr t.metrics "ooo_buffered"
         end
         else begin
@@ -569,9 +630,8 @@ let apply_sack t (pdu : Pdu.t) =
         (fun (start, stop) ->
           if stop > !highest then highest := stop;
           for seq = start to stop - 1 do
-            match Hashtbl.find_opt t.retx seq with
-            | Some u -> u.sacked <- true
-            | None -> ()
+            let u = retx_find t seq in
+            if u != vacant then u.sacked <- true
           done)
         blocks;
       !highest
@@ -585,9 +645,8 @@ let apply_sack t (pdu : Pdu.t) =
    first — the sack-driven generalisation of retransmit-snd_una. *)
 let retransmit_holes t highest_sacked =
   for seq = t.snd_una to highest_sacked - 1 do
-    match Hashtbl.find_opt t.retx seq with
-    | Some u when not u.sacked -> retransmit_seq t seq
-    | Some _ | None -> ()
+    let u = retx_find t seq in
+    if u != vacant && not u.sacked then retransmit_seq t seq
   done
 
 let handle_ack t (pdu : Pdu.t) =
@@ -639,12 +698,12 @@ let handle_ack t (pdu : Pdu.t) =
        PDU (Karn).  An ack that jumps a repaired gap would credit the
        whole repair stall to the path RTT. *)
     (if ack = t.last_ack_seen + 1 then
-       match Hashtbl.find_opt t.retx (ack - 1) with
-       | Some u when u.retries = 0 ->
-         rtt_sample t (Rina_sim.Engine.now t.engine -. u.sent_at)
-       | Some _ | None -> ());
-    for seq = t.snd_una to ack - 1 do
-      Hashtbl.remove t.retx seq
+       let u = retx_find t (ack - 1) in
+       if u != vacant && u.retries = 0 then
+         rtt_sample t (Rina_sim.Engine.now t.engine -. u.sent_at));
+    (* only [snd_una, next_seq) can hold entries *)
+    for seq = t.snd_una to min ack t.next_seq - 1 do
+      retx_remove t seq
     done;
     t.snd_una <- ack;
     if t.config.Policy.congestion_control then begin
@@ -716,11 +775,11 @@ let check_invariants t =
     Rina_util.Invariant.record ~code:"SAN_EFCP_WINDOW"
       (Printf.sprintf "cep %d: %d PDUs in flight exceeds window %d" t.local_cep
          (in_flight t) t.config.Policy.window);
-  if Hashtbl.length t.ooo > t.config.Policy.reorder_window then
+  if ooo_length t > t.config.Policy.reorder_window then
     Rina_util.Invariant.record ~code:"SAN_EFCP_RCVBUF"
       (Printf.sprintf
          "cep %d: %d PDUs buffered out-of-order exceeds reorder_window %d"
-         t.local_cep (Hashtbl.length t.ooo) t.config.Policy.reorder_window)
+         t.local_cep (ooo_length t) t.config.Policy.reorder_window)
 
 let handle_pdu t (pdu : Pdu.t) =
   if t.closed then ()
@@ -743,13 +802,13 @@ let handle_pdu t (pdu : Pdu.t) =
 let repath t ~dead_path =
   if t.closed || t.errored || (not (reliable t)) || dead_path = 0 then 0
   else begin
-    let stranded =
-      Hashtbl.fold
-        (fun seq u acc ->
-          if u.path = dead_path && not u.sacked then seq :: acc else acc)
-        t.retx []
-      |> List.sort compare
-    in
+    let stranded = ref [] in
+    for seq = t.next_seq - 1 downto t.snd_una do
+      let u = retx_find t seq in
+      if u != vacant && u.path = dead_path && not u.sacked then
+        stranded := seq :: !stranded
+    done;
+    let stranded = !stranded in
     List.iter
       (fun seq ->
         Rina_util.Metrics.incr t.metrics "pdus_repath";
@@ -775,7 +834,7 @@ let debug t =
     t.next_seq t.snd_una t.send_limit (in_flight t) (Queue.length t.backlog)
     t.cwnd t.rto
     (t.rto_timer <> None)
-    t.rcv_next (Hashtbl.length t.ooo) t.closed t.errored
+    t.rcv_next (ooo_length t) t.closed t.errored
 
 let close t =
   if not t.closed then begin
@@ -786,9 +845,9 @@ let close t =
     t.rto_timer <- None;
     t.ack_timer <- None;
     t.pace_timer <- None;
-    Hashtbl.reset t.retx;
-    Hashtbl.reset t.ooo;
-    Hashtbl.reset t.dup_cache;
-    Hashtbl.reset t.san_delivered;
+    t.retx <- [||];
+    t.ooo <- None;
+    Option.iter (fun d -> Hashtbl.reset d.seen) t.dup;
+    t.san_delivered <- None;
     Queue.clear t.backlog
   end

@@ -904,23 +904,17 @@ let acl_allows t ~src_app ~dst_app =
       pairs
 
 let handle_flow_create t (msg : Riep.t) =
-  let reply ~result ~reason value =
-    match msg.Riep.obj_value with
-    | Some (Rib.V_bytes data) -> (
-      match decode_flow_req data with
-      | Error _ -> ()
-      | Ok fr ->
-        send_mgmt t ~dst:fr.fr_src_addr
-          (Riep.make ~opcode:Riep.M_create_r ~obj_class:"flow"
-             ~invoke_id:msg.Riep.invoke_id ~result ~result_reason:reason
-             ?obj_value:value ()))
-    | Some _ | None -> ()
-  in
   match msg.Riep.obj_value with
   | Some (Rib.V_bytes data) -> (
     match decode_flow_req data with
     | Error _ -> Metrics.incr t.metrics "bad_flow_req"
     | Ok fr -> (
+      let reply ~result ~reason value =
+        send_mgmt t ~dst:fr.fr_src_addr
+          (Riep.make ~opcode:Riep.M_create_r ~obj_class:"flow"
+             ~invoke_id:msg.Riep.invoke_id ~result ~result_reason:reason
+             ?obj_value:value ())
+      in
       match Hashtbl.find_opt t.apps (Types.apn_to_string fr.fr_dst_app) with
       | None ->
         Metrics.incr t.metrics "alloc_no_app";

@@ -310,9 +310,10 @@ let relay_or_deliver t from_port pdu =
 
 (* A transit frame, already verified by [on_frame]: copy, then
    decrement the TTL byte and patch the trailer in place.  No
-   decode/encode round trip and no second pass over the body. *)
+   decode/encode round trip and no second pass over the body.  [hdr]
+   passes through unchanged, so forwarding, classification and the
+   drop reason see the TTL as received. *)
 let relay_frame t ~hdr frame =
-  let hdr = { hdr with Pdu.ttl = hdr.Pdu.ttl - 1 } in
   let drop () =
     let reason = t.drop_reason hdr in
     flight_frame t frame (Flight.Pdu_dropped reason);
@@ -328,7 +329,7 @@ let relay_frame t ~hdr frame =
     | Some port ->
       Rina_util.Metrics.bump t.ctr.relayed;
       let frame = Bytes.copy frame in
-      Sdu_protection.set_byte frame ~pos:Pdu.ttl_offset hdr.Pdu.ttl;
+      Sdu_protection.set_byte frame ~pos:Pdu.ttl_offset (hdr.Pdu.ttl - 1);
       enqueue t port ~hdr frame)
 
 let on_frame t port_id frame =

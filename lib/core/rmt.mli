@@ -41,7 +41,10 @@ val create :
 
 val set_forwarding : t -> (Pdu.t -> Types.port_id option) -> unit
 (** Install the relaying decision (management task supplies it;
-    [None] = no route). *)
+    [None] = no route).  A transit frame is relayed without being
+    re-encoded: forwarding, {!set_classify} and {!set_drop_reason} see
+    its header as it arrived, TTL not yet decremented, and only the
+    frame's TTL byte is patched on the way out. *)
 
 val set_deliver : t -> (Types.port_id option -> Pdu.t -> unit) -> unit
 (** Upward delivery: PDUs whose [dst_addr] is this process or 0

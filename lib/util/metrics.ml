@@ -1,15 +1,14 @@
+(* Gauges and histograms are rare next to counters (most registries,
+   one per EFCP instance among them, never write one), so their tables
+   are created on first write: even a [Hashtbl.create 4] holds 16
+   buckets. *)
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
-  hists : (string, Stats.Histogram.h) Hashtbl.t;
+  mutable gauges : (string, float ref) Hashtbl.t option;
+  mutable hists : (string, Stats.Histogram.h) Hashtbl.t option;
 }
 
-let create () =
-  {
-    counters = Hashtbl.create 16;
-    gauges = Hashtbl.create 4;
-    hists = Hashtbl.create 4;
-  }
+let create () = { counters = Hashtbl.create 16; gauges = None; hists = None }
 
 (* Exception-style lookup: [find_opt] allocates a [Some] per hit and
    [incr] runs on every PDU, so the hot path keeps the hit case
@@ -70,17 +69,27 @@ let to_list t =
 (* ---------- gauges ---------- *)
 
 let find_gauge t name =
-  match Hashtbl.find_opt t.gauges name with
+  let gauges =
+    match t.gauges with
+    | Some g -> g
+    | None ->
+      let g = Hashtbl.create 4 in
+      t.gauges <- Some g;
+      g
+  in
+  match Hashtbl.find_opt gauges name with
   | Some r -> r
   | None ->
     let r = ref 0. in
-    Hashtbl.add t.gauges name r;
+    Hashtbl.add gauges name r;
     r
 
 let set_gauge t name v = find_gauge t name := v
 
 let gauge t name =
-  match Hashtbl.find_opt t.gauges name with Some r -> !r | None -> 0.
+  match t.gauges with
+  | None -> 0.
+  | Some g -> ( match Hashtbl.find_opt g name with Some r -> !r | None -> 0.)
 
 type gauge_handle = { greg : t; gname : string; mutable gcell : float ref }
 
@@ -95,33 +104,43 @@ let raise_gauge g v =
     g.gcell := v
   end
 
-let gauges t =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.gauges []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let sorted = function
+  | None -> []
+  | Some tbl ->
+    Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let gauges t = List.map (fun (name, r) -> (name, !r)) (sorted t.gauges)
 
 (* ---------- fixed-bucket histograms ---------- *)
 
 let observe t ?(lo = 0.) ?(hi = 1.) ?(bins = 20) name x =
+  let hists =
+    match t.hists with
+    | Some hs -> hs
+    | None ->
+      let hs = Hashtbl.create 4 in
+      t.hists <- Some hs;
+      hs
+  in
   let h =
-    match Hashtbl.find_opt t.hists name with
+    match Hashtbl.find_opt hists name with
     | Some h -> h
     | None ->
       let h = Stats.Histogram.create ~lo ~hi ~bins in
-      Hashtbl.add t.hists name h;
+      Hashtbl.add hists name h;
       h
   in
   Stats.Histogram.add h x
 
-let histogram t name = Hashtbl.find_opt t.hists name
+let histogram t name = Option.bind t.hists (fun hs -> Hashtbl.find_opt hs name)
 
-let histograms t =
-  Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.hists []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let histograms t = sorted t.hists
 
 let reset t =
   Hashtbl.iter (fun _ r -> r := 0) t.counters;
-  Hashtbl.iter (fun _ r -> r := 0.) t.gauges;
-  Hashtbl.reset t.hists
+  Option.iter (Hashtbl.iter (fun _ r -> r := 0.)) t.gauges;
+  t.hists <- None
 
 let pp fmt t =
   List.iter (fun (name, v) -> Format.fprintf fmt "%s=%d@ " name v) (to_list t);

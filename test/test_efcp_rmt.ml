@@ -33,7 +33,7 @@ type harness = {
 
 let make_harness ?(cfg = base_cfg) ?(rcv_cfg = base_cfg) ?(in_order = true)
     ?(drop_data = fun _ -> false) ?(drop_ack = fun _ -> false)
-    ?(delay_of = fun _ -> 0.001) () =
+    ?(delay_of = fun _ -> 0.001) ?(dup_data = fun _ -> false) () =
   let engine = Engine.create () in
   let delivered = ref [] in
   let sender_errors = ref [] in
@@ -41,12 +41,21 @@ let make_harness ?(cfg = base_cfg) ?(rcv_cfg = base_cfg) ?(in_order = true)
   let data_count = ref 0 and ack_count = ref 0 in
   let to_receiver (pdu : Pdu.t) =
     incr data_count;
-    if not (drop_data !data_count) then
-      ignore
-        (Engine.schedule engine ~delay:(delay_of !data_count) (fun () ->
-             match !receiver_ref with
-             | Some r -> Efcp.handle_pdu r pdu
-             | None -> ()));
+    if not (drop_data !data_count) then begin
+      let delay = delay_of !data_count in
+      (* [dup_data] replays the PDU half a millisecond later *)
+      let delays =
+        if dup_data !data_count then [ delay; delay +. 0.0005 ] else [ delay ]
+      in
+      List.iter
+        (fun delay ->
+          ignore
+            (Engine.schedule engine ~delay (fun () ->
+                 match !receiver_ref with
+                 | Some r -> Efcp.handle_pdu r pdu
+                 | None -> ())))
+        delays
+    end;
     0
   in
   let to_sender (pdu : Pdu.t) =
@@ -399,6 +408,142 @@ let prop_efcp_reliable_under_random_loss =
       run h 120.;
       List.rev !(h.delivered) = msgs && !(h.sender_errors) = [])
 
+(* Duplicate suppression across ring wrap: an unreliable unordered
+   receiver fed an arbitrary seq stream drops exactly the seqs among
+   the last N it delivered.  The streams deliver well over N distinct
+   seqs, so the ring evicts. *)
+let prop_dup_cache_matches_last_n =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 1; 2; 16 ] >>= fun n ->
+      list_size (int_range (3 * n) ((8 * n) + 8)) (int_range 1 ((2 * n) + 3))
+      >|= fun seqs -> (n, seqs))
+  in
+  let print (n, seqs) =
+    Printf.sprintf "N=%d [%s]" n (String.concat ";" (List.map string_of_int seqs))
+  in
+  QCheck.Test.make ~name:"dup cache = last-N reference model" ~count:300
+    (QCheck.make ~print gen) (fun (n, seqs) ->
+      let engine = Engine.create () in
+      let delivered = ref [] in
+      let cfg =
+        { base_cfg with Policy.rtx_strategy = Policy.No_rtx; max_dup_cache = n }
+      in
+      let r =
+        Efcp.create engine ~config:cfg ~in_order:false ~local_cep:2 ~remote_cep:1
+          ~qos_id:0
+          ~send_pdu:(fun _ -> 0)
+          ~deliver:(fun b -> delivered := int_of_string (Bytes.to_string b) :: !delivered)
+          ~on_error:(fun _ -> ())
+          ()
+      in
+      List.iter
+        (fun seq ->
+          Efcp.handle_pdu r
+            (Pdu.make ~pdu_type:Pdu.Dtp ~dst_addr:0 ~src_addr:0 ~dst_cep:2
+               ~src_cep:1 ~seq
+               (Bytes.of_string (string_of_int seq))))
+        seqs;
+      (* reference: a list of the last n delivered seqs, newest first *)
+      let expected, _ =
+        List.fold_left
+          (fun (out, recent) seq ->
+            if List.mem seq recent then (out, recent)
+            else (seq :: out, List.filteri (fun i _ -> i < n) (seq :: recent)))
+          ([], []) seqs
+      in
+      !delivered = expected
+      && Metrics.get (Efcp.metrics r) "dup_suppressed"
+         = List.length seqs - List.length expected)
+
+let prop_dup_cache_inert_on_reliable =
+  (* Reliable flows are exactly-once through rcv_next, so the dup
+     cache policy must not change what they deliver or count, even on
+     a channel that loses, reorders and replays PDUs. *)
+  QCheck.Test.make ~name:"max_dup_cache 0 = 1024 on reliable flows" ~count:40
+    QCheck.(quad (int_range 0 10_000) (int_range 0 30) (int_range 5 60) bool)
+    (fun (seed, loss_pct, n, gbn) ->
+      let trial max_dup_cache =
+        let rng = Rina_util.Prng.create seed in
+        let cfg =
+          {
+            base_cfg with
+            Policy.max_rtx = 30;
+            rtx_strategy = (if gbn then Policy.Go_back_n else Policy.Selective_repeat);
+            sack_blocks = 4;
+            max_dup_cache;
+          }
+        in
+        let h =
+          make_harness ~cfg ~rcv_cfg:cfg
+            ~drop_data:(fun _ -> Rina_util.Prng.int rng 100 < loss_pct)
+            ~drop_ack:(fun _ -> Rina_util.Prng.int rng 100 < loss_pct)
+            ~delay_of:(fun _ -> 0.001 +. Rina_util.Prng.float rng 0.004)
+            ~dup_data:(fun _ -> Rina_util.Prng.int rng 100 < 20)
+            ()
+        in
+        send_all h (payloads n);
+        run h 120.;
+        ( List.rev !(h.delivered),
+          Metrics.to_list (Efcp.metrics h.sender),
+          Metrics.to_list (Efcp.metrics h.receiver) )
+      in
+      let ((delivered, _, _) as without) = trial 0 in
+      without = trial 1024
+      && List.filteri (fun i _ -> i < List.length delivered) (payloads n) = delivered)
+
+(* Per-flow footprint: the words a fresh instance holds beyond its
+   engine and config.  The callbacks capture nothing, so they are
+   static and count for nothing. *)
+let efcp_words ~config ~in_order =
+  let engine = Engine.create () in
+  let e =
+    Efcp.create engine ~config ~in_order ~local_cep:1 ~remote_cep:2 ~qos_id:1
+      ~send_pdu:(fun _ -> 0)
+      ~deliver:(fun _ -> ())
+      ~on_error:(fun _ -> ())
+      ()
+  in
+  Obj.reachable_words (Obj.repr e)
+  - Obj.reachable_words (Obj.repr engine)
+  - Obj.reachable_words (Obj.repr config)
+
+let test_efcp_footprint () =
+  (* lossy_incast's (and R3's) EFCP policy: a 1024-slot dup cache that
+     no reliable flow consults *)
+  let incast =
+    {
+      Policy.default_efcp with
+      Policy.window = 64;
+      init_rto = 0.3;
+      min_rto = 0.05;
+      max_rtx = 100_000;
+      sack_blocks = 4;
+      reorder_window = 128;
+      max_dup_cache = 1024;
+    }
+  in
+  let reliable = efcp_words ~config:incast ~in_order:true in
+  check Alcotest.bool
+    (Printf.sprintf "reliable, incast policy: %d words <= 1443/4" reliable)
+    true
+    (reliable <= 1443 / 4);
+  let default = efcp_words ~config:Policy.default_efcp ~in_order:true in
+  check Alcotest.bool
+    (Printf.sprintf "reliable, default policy: %d words <= 372/2" default)
+    true
+    (default <= 372 / 2);
+  let unreliable =
+    efcp_words
+      ~config:{ incast with Policy.rtx_strategy = Policy.No_rtx }
+      ~in_order:false
+  in
+  check Alcotest.bool
+    (Printf.sprintf "unreliable unordered: %d words hold a 1024-slot ring"
+       unreliable)
+    true
+    (unreliable >= reliable + 1024)
+
 (* ---------- RMT ---------- *)
 
 let own_addr = 10
@@ -670,6 +815,9 @@ let () =
           Alcotest.test_case "dup cache suppression" `Quick
             test_efcp_dup_cache_suppression;
           QCheck_alcotest.to_alcotest prop_efcp_reliable_under_random_loss;
+          QCheck_alcotest.to_alcotest prop_dup_cache_matches_last_n;
+          QCheck_alcotest.to_alcotest prop_dup_cache_inert_on_reliable;
+          Alcotest.test_case "per-flow footprint" `Quick test_efcp_footprint;
         ] );
       ( "rmt",
         [
